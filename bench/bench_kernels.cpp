@@ -3,9 +3,10 @@
  * google-benchmark microbenchmarks of the functional kernels: the
  * reference deconvolution vs the transformed execution (the wall
  * clock counterpart of the op-count savings), Farnebäck flow, block
- * matching and SGM — the streaming default plus its materialized,
- * 4-path, and range-pruned variants, each reporting its peak
- * resident arena bytes — plus a per-SIMD-level sweep of the census,
+ * matching and SGM — the streaming engine, its 4-path variant, and
+ * the materialized test oracle (tests/reference/), each reporting
+ * its peak resident arena bytes — plus a per-SIMD-level sweep of the
+ * census,
  * Hamming cost-volume, SGM aggregation-row, and fused cost-row
  * kernels, and of the f32 DNN route (BM_ConvGemm / BM_Deconv: im2col
  * + gemmRow with the fused bias+ReLU epilogue) — the vector-vs-scalar
@@ -29,6 +30,7 @@
 #include "debug/alloc_tracker.hh"
 #include "deconv/transform.hh"
 #include "flow/farneback.hh"
+#include "reference/sgm_materialized.hh"
 #include "stereo/block_matching.hh"
 #include "stereo/sgm.hh"
 #include "tensor/conv.hh"
@@ -137,21 +139,19 @@ BENCHMARK(BM_BlockMatchingGuided)->Arg(64)->Arg(128);
  */
 void
 runSgmVariant(benchmark::State &state, const stereo::SgmParams &p,
-              bool guided)
+              bool materialized)
 {
     Rng rng(6);
     const int n = int(state.range(0));
     image::Image left = data::makeTexture(n, n, 8.f, rng);
     image::Image right = data::makeTexture(n, n, 8.f, rng);
-    stereo::DisparityMap guide;
-    if (guided) // seed the per-row windows from a full-range pass
-        guide = stereo::sgmCompute(left, right, p);
     BufferPool buffers;
     const ExecContext ctx(ThreadPool::global(), buffers);
     for (auto _ : state) {
-        if (guided)
-            benchmark::DoNotOptimize(stereo::sgmComputeGuided(
-                left, right, guide, p, ctx));
+        if (materialized)
+            benchmark::DoNotOptimize(
+                stereo::reference::sgmComputeMaterialized(left, right,
+                                                          p, ctx));
         else
             benchmark::DoNotOptimize(
                 stereo::sgmCompute(left, right, p, ctx));
@@ -185,13 +185,12 @@ BENCHMARK(BM_Sgm)
 void
 BM_SgmMaterialized(benchmark::State &state)
 {
-    // The pre-restructure reference (fused=0): full census images +
-    // cost volume resident across the aggregation passes. Compare
-    // real_time and resident_bytes against BM_Sgm at the same size.
+    // The materialized test oracle: full census images + cost volume
+    // resident across the aggregation passes. Compare real_time and
+    // resident_bytes against BM_Sgm at the same size.
     stereo::SgmParams p;
     p.maxDisparity = 32;
-    p.fused = false;
-    runSgmVariant(state, p, false);
+    runSgmVariant(state, p, true);
 }
 BENCHMARK(BM_SgmMaterialized)->Arg(256)->Arg(1024)->UseRealTime();
 
@@ -207,17 +206,6 @@ BM_SgmPaths4(benchmark::State &state)
     runSgmVariant(state, p, false);
 }
 BENCHMARK(BM_SgmPaths4)->Arg(512)->Arg(1024)->UseRealTime();
-
-void
-BM_SgmRangePruned(benchmark::State &state)
-{
-    // ISM-style coarse-to-fine: per-row disparity windows seeded
-    // from a previous full-range result (default pruneMargin).
-    stereo::SgmParams p;
-    p.maxDisparity = 32;
-    runSgmVariant(state, p, true);
-}
-BENCHMARK(BM_SgmRangePruned)->Arg(512)->Arg(1024)->UseRealTime();
 
 void
 BM_SteadyStateAlloc(benchmark::State &state)
@@ -307,7 +295,7 @@ BM_CostVolume(benchmark::State &state, simd::Level level)
     stereo::SgmParams p;
     p.maxDisparity = 64;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(stereo::sgmCostVolume(
+        benchmark::DoNotOptimize(stereo::reference::sgmCostVolume(
             left, right, p, ExecContext::global()));
     }
     state.SetItemsProcessed(state.iterations() * n * n);
@@ -408,9 +396,7 @@ BM_FusedCostRow(benchmark::State &state, simd::Level level)
 {
     // The streaming-SGM inner producer: one image row of Hamming
     // costs computed on the fly from two census rows, written into
-    // tile scratch instead of a resident volume. Matches the
-    // dispatched costRow kernel contract (full range: dlo=0,
-    // ndw=nd).
+    // tile scratch instead of a resident volume.
     LevelGuard guard(level);
     Rng rng(11);
     const int nd = int(state.range(0));
@@ -423,7 +409,7 @@ BM_FusedCostRow(benchmark::State &state, simd::Level level)
     std::vector<uint16_t> out(int64_t(w) * nd);
     const simd::Kernels &k = simd::kernels();
     for (auto _ : state) {
-        k.costRow(cl.data(), cr.data(), w, 0, nd, out.data());
+        k.costRow(cl.data(), cr.data(), w, nd, out.data());
         benchmark::DoNotOptimize(out.data());
         benchmark::ClobberMemory();
     }

@@ -1,17 +1,15 @@
 /**
  * @file
  * Generator for the README accuracy-vs-speed table: run the SGM
- * path variants (8-path reference, 5-path and 4-path single-sweep,
- * and the range-pruned coarse-to-fine mode seeded from the previous
- * frame's result) over a generated scene sequence and report the
- * three-pixel bad-pixel rate and output density per variant.
+ * path variants (8-path reference, 5-path and 4-path single-sweep)
+ * over a generated scene sequence and report the three-pixel
+ * bad-pixel rate and output density per variant.
  *
  * Usage: sgm_accuracy_table [frames] [seed]
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <vector>
 
 #include "common/exec_context.hh"
@@ -65,7 +63,6 @@ main(int argc, char **argv)
         {"8-path (default)", "maxDisparity=48"},
         {"5-path", "maxDisparity=48,paths=5"},
         {"4-path", "maxDisparity=48,paths=4"},
-        {"range-pruned", "maxDisparity=48,rangePrune=1"},
     };
 
     // Windows are undefined at the borders; match the metric margin
@@ -78,22 +75,11 @@ main(int argc, char **argv)
     for (const Variant &v : variants) {
         const auto matcher = stereo::makeMatcher("sgm", v.opts);
         double bad = 0.0, dens = 0.0;
-        stereo::DisparityMap prev;
         for (const data::StereoFrame &f : seq) {
-            stereo::DisparityMap d;
-            if (matcher->guided() && !prev.empty()) {
-                // Coarse-to-fine: the previous frame's map seeds
-                // this frame's per-row search windows (what ISM
-                // does with the propagated estimate).
-                d = matcher->computeGuided(f.left, f.right, prev,
-                                           ExecContext::global());
-            } else {
-                d = matcher->compute(f.left, f.right,
-                                     ExecContext::global());
-            }
+            const stereo::DisparityMap d =
+                matcher->compute(f.left, f.right, ExecContext::global());
             bad += stereo::badPixelRate(d, f.gtDisparity, 3.0, margin);
             dens += density(d);
-            prev = std::move(d);
         }
         std::printf("| %s | %.2f | %.1f |\n", v.label,
                     bad / double(frames), dens / double(frames));

@@ -137,24 +137,22 @@ using AggregateRowFn = uint16_t (*)(const uint16_t *cost,
  * Fused census->Hamming cost row in pixel-major layout — the
  * generation half of the streaming SGM fusion. Given one census row
  * of the left image (@p cl) and the same row of the right image
- * (@p cr), writes the matching-cost slice of every pixel for a dense
- * window of @p ndw disparity candidates starting at @p dlo:
+ * (@p cr), writes the matching-cost slice of every pixel for the
+ * @p nd disparity candidates [0, nd):
  *
- *   for x in [0, w), j in [0, ndw):
- *     d = dlo + j
- *     out[x * ndw + j] = popcount(cl[x] ^ cr[max(x - d, 0)])
+ *   for x in [0, w), d in [0, nd):
+ *     out[x * nd + d] = popcount(cl[x] ^ cr[max(x - d, 0)])
  *
- * The x - d < 0 clamp reproduces the materialized path's border rule
- * (candidates beyond the left edge compare against column 0). The
- * layout is exactly the per-pixel slice AggregateRowFn consumes, so
- * an aggregation wavefront can eat the row with no transpose and no
- * resident volume. @p dlo > 0 with ndw < full range is the
- * range-pruned mode's per-row search window.
+ * The x - d < 0 clamp reproduces the materialized cost volume's
+ * border rule (candidates beyond the left edge compare against
+ * column 0). The layout is exactly the per-pixel slice
+ * AggregateRowFn consumes, so an aggregation wavefront can eat the
+ * row with no transpose and no resident volume.
  *
  * Pure integer XOR+popcount — bit-identity across levels is automatic.
  */
 using CostRowFn = void (*)(const uint64_t *cl, const uint64_t *cr,
-                           int w, int dlo, int ndw, uint16_t *out);
+                           int w, int nd, uint16_t *out);
 
 /**
  * One f32 GEMM output row — the DNN-path microkernel behind

@@ -220,29 +220,29 @@ aggregateRowAvx2(const uint16_t *cost, const uint16_t *prev,
 }
 
 void
-costRowAvx2(const uint64_t *cl, const uint64_t *cr, int w, int dlo,
-            int ndw, uint16_t *out)
+costRowAvx2(const uint64_t *cl, const uint64_t *cr, int w, int nd,
+            uint16_t *out)
 {
     // Left-border pixels whose candidate window clamps to column 0
     // take the shared reference loop; interior pixels popcount 4
     // candidates per iteration by nibble lookup + SAD reduction.
-    // Candidate j reads cr[x - dlo - j] — descending addresses — so
+    // Candidate d reads cr[x - d] — descending addresses — so
     // the ascending 4x64-bit load is stored back lane-reversed.
     const __m256i lut = _mm256_setr_epi8(
         0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1, 1, 2,
         1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
     const __m256i low = _mm256_set1_epi8(0x0f);
     const __m256i zero = _mm256_setzero_si256();
-    const int x_interior = std::min(dlo + ndw - 1, w);
-    costRowRef(cl, cr, dlo, ndw, 0, std::max(x_interior, 0), out);
-    for (int x = std::max(x_interior, 0); x < w; ++x) {
+    const int x_interior = std::min(nd - 1, w);
+    costRowRef(cl, cr, nd, 0, x_interior, out);
+    for (int x = x_interior; x < w; ++x) {
         const __m256i c = _mm256_set1_epi64x(int64_t(cl[x]));
-        const uint64_t *r = cr + x - dlo;
-        uint16_t *o = out + size_t(x) * size_t(ndw);
-        int j = 0;
-        for (; j + 4 <= ndw; j += 4) {
+        const uint64_t *r = cr + x;
+        uint16_t *o = out + size_t(x) * size_t(nd);
+        int d = 0;
+        for (; d + 4 <= nd; d += 4) {
             const __m256i rv = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(r - j - 3));
+                reinterpret_cast<const __m256i *>(r - d - 3));
             const __m256i v = _mm256_xor_si256(c, rv);
             const __m256i nlo = _mm256_and_si256(v, low);
             const __m256i nhi =
@@ -254,14 +254,14 @@ costRowAvx2(const uint64_t *cl, const uint64_t *cr, int w, int dlo,
             alignas(32) uint64_t tmp[4];
             _mm256_store_si256(reinterpret_cast<__m256i *>(tmp),
                                sums);
-            o[j] = static_cast<uint16_t>(tmp[3]);
-            o[j + 1] = static_cast<uint16_t>(tmp[2]);
-            o[j + 2] = static_cast<uint16_t>(tmp[1]);
-            o[j + 3] = static_cast<uint16_t>(tmp[0]);
+            o[d] = static_cast<uint16_t>(tmp[3]);
+            o[d + 1] = static_cast<uint16_t>(tmp[2]);
+            o[d + 2] = static_cast<uint16_t>(tmp[1]);
+            o[d + 3] = static_cast<uint16_t>(tmp[0]);
         }
-        for (; j < ndw; ++j)
-            o[j] = static_cast<uint16_t>(
-                _mm_popcnt_u64(cl[x] ^ r[-j]));
+        for (; d < nd; ++d)
+            o[d] = static_cast<uint16_t>(
+                _mm_popcnt_u64(cl[x] ^ r[-d]));
     }
 }
 

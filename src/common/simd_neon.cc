@@ -156,32 +156,32 @@ aggregateRowNeon(const uint16_t *cost, const uint16_t *prev,
 }
 
 void
-costRowNeon(const uint64_t *cl, const uint64_t *cr, int w, int dlo,
-            int ndw, uint16_t *out)
+costRowNeon(const uint64_t *cl, const uint64_t *cr, int w, int nd,
+            uint16_t *out)
 {
     // Left-border pixels whose candidate window clamps to column 0
     // take the shared reference loop; interior pixels popcount two
     // candidates per iteration with vcnt + pairwise widening adds.
-    // Candidate j reads cr[x - dlo - j] — descending addresses — so
-    // the ascending 2x64-bit load is stored back lane-swapped.
-    const int x_interior = std::min(dlo + ndw - 1, w);
-    costRowRef(cl, cr, dlo, ndw, 0, std::max(x_interior, 0), out);
-    for (int x = std::max(x_interior, 0); x < w; ++x) {
+    // Candidate d reads cr[x - d] — descending addresses — so the
+    // ascending 2x64-bit load is stored back lane-swapped.
+    const int x_interior = std::min(nd - 1, w);
+    costRowRef(cl, cr, nd, 0, x_interior, out);
+    for (int x = x_interior; x < w; ++x) {
         const uint64x2_t c = vdupq_n_u64(cl[x]);
-        const uint64_t *r = cr + x - dlo;
-        uint16_t *o = out + size_t(x) * size_t(ndw);
-        int j = 0;
-        for (; j + 2 <= ndw; j += 2) {
-            const uint64x2_t rv = vld1q_u64(r - j - 1);
+        const uint64_t *r = cr + x;
+        uint16_t *o = out + size_t(x) * size_t(nd);
+        int d = 0;
+        for (; d + 2 <= nd; d += 2) {
+            const uint64x2_t rv = vld1q_u64(r - d - 1);
             const uint8x16_t v =
                 vcntq_u8(vreinterpretq_u8_u64(veorq_u64(c, rv)));
             const uint64x2_t sums =
                 vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(v)));
-            o[j] = static_cast<uint16_t>(vgetq_lane_u64(sums, 1));
-            o[j + 1] = static_cast<uint16_t>(vgetq_lane_u64(sums, 0));
+            o[d] = static_cast<uint16_t>(vgetq_lane_u64(sums, 1));
+            o[d + 1] = static_cast<uint16_t>(vgetq_lane_u64(sums, 0));
         }
-        for (; j < ndw; ++j)
-            o[j] = static_cast<uint16_t>(std::popcount(cl[x] ^ r[-j]));
+        for (; d < nd; ++d)
+            o[d] = static_cast<uint16_t>(std::popcount(cl[x] ^ r[-d]));
     }
 }
 

@@ -119,28 +119,26 @@ aggregateRowRef(const uint16_t *cost, const uint16_t *prev,
 
 /**
  * Fused pixel-major cost row for pixels [x0, x1); see CostRowFn. The
- * vector tables call this for per-pixel candidate tails and for the
- * left-border pixels whose candidates clamp to column 0. For each
- * pixel the first min(ndw, x - dlo + 1) candidates read descending
- * right-census addresses; the rest all clamp to cr[0] and therefore
- * share one popcount.
+ * vector tables call this for the left-border pixels whose
+ * candidates clamp to column 0. For each pixel the first
+ * min(nd, x + 1) candidates read descending right-census addresses;
+ * the rest all clamp to cr[0] and therefore share one popcount.
  */
 inline void
-costRowRef(const uint64_t *cl, const uint64_t *cr, int dlo, int ndw,
-           int x0, int x1, uint16_t *out)
+costRowRef(const uint64_t *cl, const uint64_t *cr, int nd, int x0,
+           int x1, uint16_t *out)
 {
     for (int x = x0; x < x1; ++x) {
         const uint64_t c = cl[x];
-        uint16_t *o = out + size_t(x) * size_t(ndw);
-        const int m = std::clamp(x - dlo + 1, 0, ndw);
-        for (int j = 0; j < m; ++j)
-            o[j] = static_cast<uint16_t>(
-                std::popcount(c ^ cr[x - dlo - j]));
-        if (m < ndw) {
+        uint16_t *o = out + size_t(x) * size_t(nd);
+        const int m = std::min(x + 1, nd);
+        for (int d = 0; d < m; ++d)
+            o[d] = static_cast<uint16_t>(std::popcount(c ^ cr[x - d]));
+        if (m < nd) {
             const uint16_t edge =
                 static_cast<uint16_t>(std::popcount(c ^ cr[0]));
-            for (int j = m; j < ndw; ++j)
-                o[j] = edge;
+            for (int d = m; d < nd; ++d)
+                o[d] = edge;
         }
     }
 }

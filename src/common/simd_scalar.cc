@@ -48,10 +48,10 @@ aggregateRowScalar(const uint16_t *cost, const uint16_t *prev,
 }
 
 void
-costRowScalar(const uint64_t *cl, const uint64_t *cr, int w, int dlo,
-              int ndw, uint16_t *out)
+costRowScalar(const uint64_t *cl, const uint64_t *cr, int w, int nd,
+              uint16_t *out)
 {
-    costRowRef(cl, cr, dlo, ndw, 0, w, out);
+    costRowRef(cl, cr, nd, 0, w, out);
 }
 
 void

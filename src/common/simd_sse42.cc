@@ -166,31 +166,31 @@ aggregateRowSse42(const uint16_t *cost, const uint16_t *prev,
 }
 
 void
-costRowSse42(const uint64_t *cl, const uint64_t *cr, int w, int dlo,
-             int ndw, uint16_t *out)
+costRowSse42(const uint64_t *cl, const uint64_t *cr, int w, int nd,
+             uint16_t *out)
 {
     // Left-border pixels whose candidate window clamps to column 0
     // take the shared reference loop; interior pixels run an
     // unrolled hardware-POPCNT sweep over descending right-census
-    // addresses (candidate j reads cr[x - dlo - j]).
-    const int x_interior = std::min(dlo + ndw - 1, w);
-    costRowRef(cl, cr, dlo, ndw, 0, std::max(x_interior, 0), out);
-    for (int x = std::max(x_interior, 0); x < w; ++x) {
+    // addresses (candidate d reads cr[x - d]).
+    const int x_interior = std::min(nd - 1, w);
+    costRowRef(cl, cr, nd, 0, x_interior, out);
+    for (int x = x_interior; x < w; ++x) {
         const uint64_t c = cl[x];
-        const uint64_t *r = cr + x - dlo;
-        uint16_t *o = out + size_t(x) * size_t(ndw);
-        int j = 0;
-        for (; j + 4 <= ndw; j += 4) {
-            o[j] = static_cast<uint16_t>(_mm_popcnt_u64(c ^ r[-j]));
-            o[j + 1] = static_cast<uint16_t>(
-                _mm_popcnt_u64(c ^ r[-j - 1]));
-            o[j + 2] = static_cast<uint16_t>(
-                _mm_popcnt_u64(c ^ r[-j - 2]));
-            o[j + 3] = static_cast<uint16_t>(
-                _mm_popcnt_u64(c ^ r[-j - 3]));
+        const uint64_t *r = cr + x;
+        uint16_t *o = out + size_t(x) * size_t(nd);
+        int d = 0;
+        for (; d + 4 <= nd; d += 4) {
+            o[d] = static_cast<uint16_t>(_mm_popcnt_u64(c ^ r[-d]));
+            o[d + 1] = static_cast<uint16_t>(
+                _mm_popcnt_u64(c ^ r[-d - 1]));
+            o[d + 2] = static_cast<uint16_t>(
+                _mm_popcnt_u64(c ^ r[-d - 2]));
+            o[d + 3] = static_cast<uint16_t>(
+                _mm_popcnt_u64(c ^ r[-d - 3]));
         }
-        for (; j < ndw; ++j)
-            o[j] = static_cast<uint16_t>(_mm_popcnt_u64(c ^ r[-j]));
+        for (; d < nd; ++d)
+            o[d] = static_cast<uint16_t>(_mm_popcnt_u64(c ^ r[-d]));
     }
 }
 

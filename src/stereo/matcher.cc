@@ -224,10 +224,7 @@ class BlockMatchingMatcher final : public Matcher
 class SgmMatcher final : public Matcher
 {
   public:
-    SgmMatcher(SgmParams params, bool range_prune)
-        : params_(params), rangePrune_(range_prune)
-    {
-    }
+    explicit SgmMatcher(SgmParams params) : params_(params) {}
 
     std::string name() const override { return "sgm"; }
 
@@ -237,18 +234,6 @@ class SgmMatcher final : public Matcher
     {
         return sgmCompute(left, right, params_, ctx);
     }
-
-    DisparityMap
-    computeGuided(const image::Image &left, const image::Image &right,
-                  const DisparityMap &guide,
-                  const ExecContext &ctx) const override
-    {
-        if (!rangePrune_)
-            return compute(left, right, ctx);
-        return sgmComputeGuided(left, right, guide, params_, ctx);
-    }
-
-    bool guided() const override { return rangePrune_; }
 
     int64_t
     ops(int width, int height) const override
@@ -260,7 +245,6 @@ class SgmMatcher final : public Matcher
 
   private:
     SgmParams params_;
-    bool rangePrune_; //!< computeGuided() prunes the search range
 };
 
 /**
@@ -367,9 +351,6 @@ MatcherRegistry::MatcherRegistry()
             opts.getBool("leftRightCheck", p.leftRightCheck);
         p.lrTolerance = opts.getInt("lrTolerance", p.lrTolerance);
         p.paths = opts.getInt("paths", p.paths);
-        p.fused = opts.getBool("fused", p.fused);
-        p.pruneMargin = opts.getInt("pruneMargin", p.pruneMargin);
-        const bool range_prune = opts.getBool("rangePrune", false);
         if (p.censusRadius < 1 || p.censusRadius > 3)
             throw std::invalid_argument(
                 "censusRadius must be in [1, 3]");
@@ -377,14 +358,10 @@ MatcherRegistry::MatcherRegistry()
             throw std::invalid_argument("maxDisparity must be >= 1");
         if (p.paths != 4 && p.paths != 5 && p.paths != 8)
             throw std::invalid_argument("paths must be 4, 5, or 8");
-        if (!p.fused && p.paths != 8)
-            throw std::invalid_argument(
-                "fused=0 (the materialized reference) supports "
-                "paths=8 only");
-        if (p.pruneMargin < 0)
-            throw std::invalid_argument("pruneMargin must be >= 0");
+        if (p.lrTolerance < 0)
+            throw std::invalid_argument("lrTolerance must be >= 0");
         opts.finish("sgm");
-        return std::make_shared<SgmMatcher>(p, range_prune);
+        return std::make_shared<SgmMatcher>(p);
     };
 
     factories_["guided"] = [](const MatcherOptions &opts) {

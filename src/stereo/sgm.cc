@@ -1,7 +1,6 @@
 #include "stereo/sgm.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -16,31 +15,6 @@ namespace asv::stereo
 
 namespace
 {
-
-/**
- * Aggregation-stage geometry: the cost volume transposed to
- * pixel-major ([(y * w + x) * nd + d]) so every pixel's nd
- * disparities are the contiguous uint16 lanes the dispatched
- * aggregateRow kernel consumes, together with the pixel-major
- * aggregated totals. All arithmetic is exact integer, so the result
- * is independent of how paths are scheduled across threads.
- */
-struct AggregateView
-{
-    const uint16_t *cost; //!< pixel-major cost, [(y*w + x)*nd + d]
-    uint32_t *total;      //!< pixel-major running sum, same layout
-    int w, h, nd;
-    uint16_t p1, p2; //!< clamped to [0, 0xFFFF] (kernel contract)
-
-    const uint16_t *costPx(int x, int y) const
-    {
-        return cost + (int64_t(y) * w + x) * nd;
-    }
-    uint32_t *totalPx(int x, int y) const
-    {
-        return total + (int64_t(y) * w + x) * nd;
-    }
-};
 
 /**
  * Path-start step (no predecessor): L_r is the raw matching cost.
@@ -92,125 +66,6 @@ class PathScratch
     PoolHandle<uint16_t> buf_;
 };
 
-/**
- * Horizontal pass (dy == 0): every row is an independent 1-D path,
- * so rows fan out directly and each needs only 2*(nd+2) scratch.
- */
-void
-aggregateHorizontal(const AggregateView &v, int dx,
-                    const ExecContext &ctx)
-{
-    const int w = v.w, nd = v.nd;
-    const simd::Kernels &k = simd::kernels();
-    ctx.parallelFor(0, v.h, [&](int64_t y0, int64_t y1) {
-        PathScratch scratch(nd, 2, ctx.buffers());
-        for (int y = int(y0); y < int(y1); ++y) {
-            uint16_t *prev = scratch.row(0), *cur = scratch.row(1);
-            int x = dx > 0 ? 0 : w - 1;
-            uint16_t prev_min =
-                startRow(v.costPx(x, y), nd, prev, v.totalPx(x, y));
-            for (int i = 1; i < w; ++i) {
-                x += dx;
-                prev_min = k.aggregateRow(v.costPx(x, y), prev,
-                                          prev_min, nd, v.p1, v.p2,
-                                          cur, v.totalPx(x, y));
-                std::swap(prev, cur);
-            }
-        }
-    });
-}
-
-/**
- * Vertical pass (dx == 0): columns are independent paths with a pure
- * (x, y-dy) -> (x, y) dependency, so contiguous column strips run in
- * parallel, each sweeping its rows in order with one strip-wide
- * previous-row buffer (and a per-column carried minimum).
- */
-void
-aggregateVertical(const AggregateView &v, int dy,
-                  const ExecContext &ctx)
-{
-    const int w = v.w, h = v.h, nd = v.nd;
-    const simd::Kernels &k = simd::kernels();
-    ctx.parallelFor(0, w, [&](int64_t x0, int64_t x1) {
-        const int64_t nx = x1 - x0;
-        PathScratch prev(nd, nx, ctx.buffers());
-        PathScratch cur(nd, nx, ctx.buffers());
-        auto mins = ctx.buffers().acquireZeroed<uint16_t>(size_t(nx));
-        const int y_begin = dy > 0 ? 0 : h - 1;
-        for (int i = 0; i < h; ++i) {
-            const int y = y_begin + i * dy;
-            for (int x = int(x0); x < int(x1); ++x) {
-                const int64_t xi = x - x0;
-                uint16_t *c = cur.row(xi);
-                if (i == 0) {
-                    mins[xi] = startRow(v.costPx(x, y), nd, c,
-                                        v.totalPx(x, y));
-                } else {
-                    mins[xi] = k.aggregateRow(
-                        v.costPx(x, y), prev.row(xi), mins[xi], nd,
-                        v.p1, v.p2, c, v.totalPx(x, y));
-                }
-            }
-            prev.swap(cur);
-        }
-    });
-}
-
-/**
- * Diagonal pass (|dx| == |dy| == 1): the predecessor of every pixel
- * in row y lies in row y - dy, so each row is a wavefront — rows
- * advance serially while the pixels of a row fan out across the
- * pool. Two sentinel-padded row buffers (plus the per-pixel carried
- * minima) hand L_r between wavefronts.
- */
-void
-aggregateDiagonal(const AggregateView &v, int dx, int dy,
-                  const ExecContext &ctx)
-{
-    const int w = v.w, h = v.h, nd = v.nd;
-    const simd::Kernels &k = simd::kernels();
-    PathScratch prev_row(nd, w, ctx.buffers());
-    PathScratch cur_row(nd, w, ctx.buffers());
-    auto prev_min = ctx.buffers().acquireZeroed<uint16_t>(size_t(w));
-    auto cur_min = ctx.buffers().acquireZeroed<uint16_t>(size_t(w));
-    const int y_begin = dy > 0 ? 0 : h - 1;
-    for (int i = 0; i < h; ++i) {
-        const int y = y_begin + i * dy;
-        const bool first_row = i == 0;
-        ctx.parallelFor(0, w, [&](int64_t x0, int64_t x1) {
-            for (int x = int(x0); x < int(x1); ++x) {
-                uint16_t *c = cur_row.row(x);
-                const int px = x - dx;
-                if (first_row || px < 0 || px >= w) {
-                    cur_min[x] = startRow(v.costPx(x, y), nd, c,
-                                          v.totalPx(x, y));
-                } else {
-                    cur_min[x] = k.aggregateRow(
-                        v.costPx(x, y), prev_row.row(px),
-                        prev_min[px], nd, v.p1, v.p2, c,
-                        v.totalPx(x, y));
-                }
-            }
-        });
-        prev_row.swap(cur_row);
-        prev_min.swap(cur_min);
-    }
-}
-
-/** One semi-global aggregation pass along direction (dx, dy). */
-void
-aggregateDirection(const AggregateView &v, int dx, int dy,
-                   const ExecContext &ctx)
-{
-    if (dy == 0)
-        aggregateHorizontal(v, dx, ctx);
-    else if (dx == 0)
-        aggregateVertical(v, dy, ctx);
-    else
-        aggregateDiagonal(v, dx, dy, ctx);
-}
-
 float
 subpixelOffset(uint32_t cm, uint32_t c0, uint32_t cp)
 {
@@ -228,9 +83,9 @@ subpixelOffset(uint32_t cm, uint32_t c0, uint32_t cp)
  * x-clamped borders run the same scalar code at every SIMD level, so
  * the encoding is bit-identical everywhere. @p rows is caller scratch
  * for the 2*radius+1 y-clamped row base pointers. This is the
- * row-granular building block both the materialized census plane and
+ * row-granular building block both the census plane (censusInto) and
  * the streaming SGM's on-the-fly cost generation share — one
- * definition of the encoding, so the fused path cannot drift.
+ * definition of the encoding, so the two cannot drift.
  */
 void
 censusLineInto(const image::Image &img, int radius, int y,
@@ -267,127 +122,18 @@ censusLineInto(const image::Image &img, int radius, int y,
         borderPixel(x);
 }
 
-/**
- * censusTransform() into caller-provided storage of w * h entries —
- * the pooled path sgmCostVolume() uses (per-chunk row-pointer
- * scratch comes from the context's BufferPool too).
- */
-void
-censusInto(const image::Image &img, int radius,
-           const ExecContext &ctx, uint64_t *census)
-{
-    fatal_if(radius < 1 || radius > 3,
-             "census radius must be in [1, 3] (bits must fit uint64)");
-    const int w = img.width(), h = img.height();
-    const simd::Kernels &k = simd::kernels();
-    // Rows are independent; each writes a disjoint slice of census.
-    // Row-pointer scratch is pre-acquired per chunk: acquiring
-    // inside the worker lambdas would make the number of live
-    // same-shape buffers — and with it the steady-state pool miss
-    // count — depend on thread scheduling.
-    const int taps = 2 * radius + 1;
-    auto rows = ctx.buffers().acquire<const float *>(
-        size_t(ctx.pool().numThreads()) * size_t(taps));
-    ctx.parallelForChunks(0, h, [&](int64_t y0, int64_t y1, int c) {
-        const float **row = rows.data() + size_t(c) * size_t(taps);
-        for (int y = int(y0); y < int(y1); ++y) {
-            censusLineInto(img, radius, y, k, row,
-                           census + int64_t(y) * w);
-        }
-    });
-}
-
 /** Shared parameter validation for every SGM entry point. */
 void
 validateSgmParams(const SgmParams &p)
 {
+    fatal_if(p.maxDisparity < 0, "SGM maxDisparity must be >= 0");
     fatal_if(p.p1 < 0 || p.p2 < 0,
              "SGM penalties must be non-negative");
+    fatal_if(p.lrTolerance < 0, "SGM lrTolerance must be >= 0");
     fatal_if(p.censusRadius < 1 || p.censusRadius > 3,
              "census radius must be in [1, 3] (bits must fit uint64)");
     fatal_if(p.paths != 4 && p.paths != 5 && p.paths != 8,
              "SGM paths must be 4, 5, or 8");
-    fatal_if(!p.fused && p.paths != 8,
-             "the materialized SGM reference supports paths=8 only");
-}
-
-/**
- * Per-row disparity search windows of the streaming engine. Row y
- * searches the dense candidate window [lo[y], lo[y] + ndw[y]) and its
- * slice of the down-direction partial volume starts at cell off[y]
- * (cell index off[y] + x * ndw[y] + j). The full-range mode is the
- * constant window [0, nd); the range-pruned mode derives each row's
- * window from the propagated previous-frame disparity. All three
- * metadata arrays live in the ExecContext's BufferPool.
- */
-struct RowWindows
-{
-    PoolHandle<uint32_t> lo;  //!< per-row window start (absolute d)
-    PoolHandle<uint32_t> ndw; //!< per-row window width (>= 1)
-    PoolHandle<uint64_t> off; //!< per-row cell offset, down volume
-    uint64_t cells = 0;       //!< total down-volume cells
-};
-
-RowWindows
-makeFullWindows(int w, int h, int nd, BufferPool &pool)
-{
-    RowWindows win;
-    win.lo = pool.acquireZeroed<uint32_t>(size_t(h));
-    win.ndw = pool.acquire<uint32_t>(size_t(h));
-    win.off = pool.acquire<uint64_t>(size_t(h));
-    for (int y = 0; y < h; ++y) {
-        win.ndw[size_t(y)] = uint32_t(nd);
-        win.off[size_t(y)] = uint64_t(y) * uint64_t(w) * uint64_t(nd);
-    }
-    win.cells = uint64_t(h) * uint64_t(w) * uint64_t(nd);
-    return win;
-}
-
-/**
- * Range-pruned windows: row y searches [min, max] of the guide's
- * valid disparities in that row, widened by @p margin on both sides
- * and clamped to [0, nd). Rows with no valid guide pixel fall back to
- * the full range, so a sparse or failed prior degrades to plain SGM
- * row by row instead of corrupting the search.
- */
-RowWindows
-makeGuideWindows(const DisparityMap &guide, int nd, int margin,
-                 const ExecContext &ctx)
-{
-    const int w = guide.width(), h = guide.height();
-    RowWindows win;
-    BufferPool &pool = ctx.buffers();
-    win.lo = pool.acquire<uint32_t>(size_t(h));
-    win.ndw = pool.acquire<uint32_t>(size_t(h));
-    win.off = pool.acquire<uint64_t>(size_t(h));
-    ctx.parallelFor(0, h, [&](int64_t y0, int64_t y1) {
-        for (int y = int(y0); y < int(y1); ++y) {
-            float mn = 0.f, mx = 0.f;
-            bool any = false;
-            for (int x = 0; x < w; ++x) {
-                const float v = guide.at(x, y);
-                if (!isValidDisparity(v))
-                    continue;
-                mn = any ? std::min(mn, v) : v;
-                mx = any ? std::max(mx, v) : v;
-                any = true;
-            }
-            int lo = 0, hi = nd - 1;
-            if (any) {
-                lo = clamp(int(std::floor(mn)) - margin, 0, nd - 1);
-                hi = clamp(int(std::ceil(mx)) + margin, lo, nd - 1);
-            }
-            win.lo[size_t(y)] = uint32_t(lo);
-            win.ndw[size_t(y)] = uint32_t(hi - lo + 1);
-        }
-    });
-    uint64_t off = 0;
-    for (int y = 0; y < h; ++y) {
-        win.off[size_t(y)] = off;
-        off += uint64_t(w) * win.ndw[size_t(y)];
-    }
-    win.cells = off;
-    return win;
 }
 
 /**
@@ -404,17 +150,18 @@ makeGuideWindows(const DisparityMap &guide, int nd, int margin,
  * each direction's L_r is bounded by cost + P2 — prev_min + P2 is
  * always a min candidate — so with the default census radius and
  * penalties three directions sum to <= 192 and one byte per cell
- * suffices (~8x smaller than the materialized pipeline's uint16 cost
+ * suffices (~8x smaller than a materialized pipeline's uint16 cost
  * + uint32 total volumes). The up sweep regenerates the cost rows,
  * adds the two horizontal paths and the three up directions, widens
  * in the down-volume row — completing the exact 8-direction uint32
- * total of the materialized reference — and finalizes each row
- * immediately: WTA + sub-pixel + the left-right check, which is
- * per-row because the right image's disparity at xr is
- * argmin_d total(xr + d, y, d) in the same row. Integer sums are
- * order-independent and every directional recurrence replays the
- * reference's start conditions, so the result is bit-identical to
- * the materialized path at any SIMD level and worker count.
+ * total — and finalizes each row immediately: WTA + sub-pixel + the
+ * left-right check, which is per-row because the right image's
+ * disparity at xr is argmin_d total(xr + d, y, d) in the same row.
+ * Integer sums are order-independent and every directional
+ * recurrence replays the classic per-direction start conditions, so
+ * the result is bit-identical to the materialized reference
+ * (tests/reference/sgm_materialized.hh) at any SIMD level and worker
+ * count.
  *
  * paths=4/5 run the single down sweep with the horizontals folded in
  * ((1,0) + optional (-1,0) backward pass at paths=5) and finalize
@@ -424,24 +171,18 @@ makeGuideWindows(const DisparityMap &guide, int nd, int margin,
  * fan out over a tile's rows (amortizing launch overhead and keeping
  * the tile's cost/total rows cache-resident for the wavefront
  * stage), then the wavefront stage walks the tile's rows serially
- * with pixel-parallel rows, exactly like the materialized diagonal
- * passes. Range pruning plugs in per row: every stage operates on
- * the row's dense candidate window, the L_r scratch keeps absolute-d
- * indexing with 0xFFFF outside the windows actually written (drifted
- * window edges are re-sentineled as the ping-pong buffers cycle),
- * and prev_min stays the true minimum of the previous row's window,
- * so the kernel contract holds unchanged.
+ * with pixel-parallel rows (a diagonal predecessor lies in the
+ * previous row).
  */
 template <typename TDown>
 class StreamingSgm
 {
   public:
     StreamingSgm(const image::Image &left, const image::Image &right,
-                 const SgmParams &params, const RowWindows &win,
-                 const ExecContext &ctx)
-        : left_(left), right_(right), p_(params), win_(win),
-          ctx_(ctx), k_(simd::kernels()), w_(left.width()),
-          h_(left.height()), nd_(params.maxDisparity + 1),
+                 const SgmParams &params, const ExecContext &ctx)
+        : left_(left), right_(right), p_(params), ctx_(ctx),
+          k_(simd::kernels()), w_(left.width()), h_(left.height()),
+          nd_(params.maxDisparity + 1),
           p1_(static_cast<uint16_t>(std::min(params.p1, 0xFFFF))),
           p2_(static_cast<uint16_t>(std::min(params.p2, 0xFFFF))),
           tile_rows_(tileRowsFor(w_, nd_)),
@@ -458,8 +199,8 @@ class StreamingSgm
           horiz_scratch_(nd_, 2 * chunks_, ctx.buffers())
     {
         if (p_.paths == 8)
-            down_vol_ =
-                ctx.buffers().acquire<TDown>(size_t(win.cells));
+            down_vol_ = ctx.buffers().acquire<TDown>(
+                size_t(int64_t(h_) * w_ * nd_));
     }
 
     DisparityMap
@@ -541,25 +282,24 @@ class StreamingSgm
                                cl);
                 censusLineInto(right_, p_.censusRadius, y, k_, rows,
                                cr);
-                k_.costRow(cl, cr, w_, int(win_.lo[size_t(y)]),
-                           int(win_.ndw[size_t(y)]), costRow(i - i0));
+                k_.costRow(cl, cr, w_, nd_, costRow(i - i0));
             }
         });
     }
 
-    /** One horizontal 1-D path over a dense-window row. */
+    /** One horizontal 1-D path over a pixel-major row. */
     void
-    horizontalScan(const uint16_t *cost, uint32_t *tot, int ndw,
-                   int dx, uint16_t *prev, uint16_t *cur)
+    horizontalScan(const uint16_t *cost, uint32_t *tot, int dx,
+                   uint16_t *prev, uint16_t *cur)
     {
         int x = dx > 0 ? 0 : w_ - 1;
-        uint16_t prev_min = startRow(cost + int64_t(x) * ndw, ndw,
-                                     prev, tot + int64_t(x) * ndw);
+        uint16_t prev_min = startRow(cost + int64_t(x) * nd_, nd_,
+                                     prev, tot + int64_t(x) * nd_);
         for (int s = 1; s < w_; ++s) {
             x += dx;
-            prev_min = k_.aggregateRow(cost + int64_t(x) * ndw, prev,
-                                       prev_min, ndw, p1_, p2_, cur,
-                                       tot + int64_t(x) * ndw);
+            prev_min = k_.aggregateRow(cost + int64_t(x) * nd_, prev,
+                                       prev_min, nd_, p1_, p2_, cur,
+                                       tot + int64_t(x) * nd_);
             std::swap(prev, cur);
         }
     }
@@ -569,28 +309,20 @@ class StreamingSgm
      * path(s). Rows are independent 1-D paths, so the tile fans out.
      */
     void
-    stageHorizontal(int i0, int i1, int y_begin, int dy, bool lr_pass,
-                    bool rl_pass)
+    stageHorizontal(int i0, int i1, bool lr_pass, bool rl_pass)
     {
         ctx_.parallelForChunks(i0, i1, [&](int64_t a, int64_t b,
                                            int c) {
             uint16_t *s0 = horiz_scratch_.row(2 * c);
             uint16_t *s1 = horiz_scratch_.row(2 * c + 1);
             for (int i = int(a); i < int(b); ++i) {
-                const int y = y_begin + i * dy;
-                const int ndw = int(win_.ndw[size_t(y)]);
                 const uint16_t *cost = costRow(i - i0);
                 uint32_t *tot = totalRow(i - i0);
-                std::fill(tot, tot + int64_t(w_) * ndw, 0u);
-                // A narrower window than this chunk scratch's last
-                // row leaves stale cells right above the window
-                // where the kernel reads prev[ndw]; re-sentinel them.
-                std::fill(s0 + ndw, s0 + nd_, uint16_t(0xFFFF));
-                std::fill(s1 + ndw, s1 + nd_, uint16_t(0xFFFF));
+                std::fill(tot, tot + int64_t(w_) * nd_, 0u);
                 if (lr_pass)
-                    horizontalScan(cost, tot, ndw, +1, s0, s1);
+                    horizontalScan(cost, tot, +1, s0, s1);
                 if (rl_pass)
-                    horizontalScan(cost, tot, ndw, -1, s0, s1);
+                    horizontalScan(cost, tot, -1, s0, s1);
             }
         });
     }
@@ -614,121 +346,75 @@ class StreamingSgm
         if (lr)
             right_disp = ctx_.buffers().acquire<float>(size_t(w_));
         const bool has_horiz = horiz_lr || horiz_rl;
-        // Candidate windows of the previous row (now in the `prev`
-        // buffers) and of two rows back (still in the `cur` buffers
-        // about to be overwritten). Cells they cover outside the new
-        // row's window are re-sentineled below, so drifting windows
-        // never leak stale L_r into a neighbor load.
-        int prev_lo = 0, prev_hi = 0;
-        int prev2_lo = 0, prev2_hi = 0;
         const int y_begin = dy > 0 ? 0 : h_ - 1;
         for (int i0 = 0; i0 < h_; i0 += tile_rows_) {
             const int i1 = std::min(i0 + tile_rows_, h_);
             stageCostRows(i0, i1, y_begin, dy);
             if (has_horiz)
-                stageHorizontal(i0, i1, y_begin, dy, horiz_lr,
-                                horiz_rl);
+                stageHorizontal(i0, i1, horiz_lr, horiz_rl);
             for (int i = i0; i < i1; ++i) {
                 const int y = y_begin + i * dy;
-                const int lo = int(win_.lo[size_t(y)]);
-                const int ndw = int(win_.ndw[size_t(y)]);
                 const bool first_row = i == 0;
                 const uint16_t *cost = costRow(i - i0);
                 uint32_t *tot = totalRow(i - i0);
-                const TDown *down_row =
-                    add_down ? down_vol_.data() + win_.off[size_t(y)]
-                             : nullptr;
-                TDown *down_out =
-                    store_down ? down_vol_.data() + win_.off[size_t(y)]
-                               : nullptr;
-                // Stale cells of the `cur` buffers: the window of two
-                // rows back minus this row's window.
-                const int wa0 = prev2_lo;
-                const int wa1 = std::min(prev2_hi, lo);
-                const int wb0 = std::max(prev2_lo, lo + ndw);
-                const int wb1 = prev2_hi;
+                TDown *down = add_down || store_down
+                                  ? down_vol_.data() +
+                                        int64_t(y) * w_ * nd_
+                                  : nullptr;
+                const TDown *down_row = add_down ? down : nullptr;
+                TDown *down_out = store_down ? down : nullptr;
                 ctx_.parallelFor(0, w_, [&](int64_t a, int64_t b) {
                     for (int x = int(a); x < int(b); ++x) {
                         const uint16_t *cost_x =
-                            cost + int64_t(x) * ndw;
-                        uint32_t *tot_x = tot + int64_t(x) * ndw;
+                            cost + int64_t(x) * nd_;
+                        uint32_t *tot_x = tot + int64_t(x) * nd_;
                         if (!has_horiz)
-                            std::fill(tot_x, tot_x + ndw, 0u);
+                            std::fill(tot_x, tot_x + nd_, 0u);
                         if (down_row != nullptr) {
                             const TDown *dr =
-                                down_row + int64_t(x) * ndw;
-                            for (int j = 0; j < ndw; ++j)
-                                tot_x[j] += uint32_t(dr[j]);
+                                down_row + int64_t(x) * nd_;
+                            for (int d = 0; d < nd_; ++d)
+                                tot_x[d] += uint32_t(dr[d]);
                         }
                         for (DirState &s : dirs) {
-                            uint16_t *base = s.cur.row(x);
-                            if (wa0 < wa1)
-                                std::fill(base + wa0, base + wa1,
-                                          uint16_t(0xFFFF));
-                            if (wb0 < wb1)
-                                std::fill(base + wb0, base + wb1,
-                                          uint16_t(0xFFFF));
+                            uint16_t *c = s.cur.row(x);
                             const int px = x - s.dx;
                             if (first_row || px < 0 || px >= w_) {
-                                s.cur_min[size_t(x)] = startRow(
-                                    cost_x, ndw, base + lo, tot_x);
-                            } else {
-                                // Neighbor-candidate contract at the
-                                // window edges: the scalar kernel
-                                // skips d-1/d+1 by index, the vector
-                                // kernels by sentinel. When the
-                                // previous row's window is wider,
-                                // the cells adjacent to this window
-                                // hold live L values the vector path
-                                // would consume — mask them so every
-                                // level agrees that out-of-window
-                                // neighbors are absent. Each prev
-                                // row is read by exactly this pixel,
-                                // so the write is race-free.
-                                uint16_t *pbase = s.prev.row(px);
-                                if (lo > 0)
-                                    pbase[lo - 1] = 0xFFFF;
-                                if (lo + ndw < nd_)
-                                    pbase[lo + ndw] = 0xFFFF;
                                 s.cur_min[size_t(x)] =
-                                    k_.aggregateRow(
-                                        cost_x, pbase + lo,
-                                        s.prev_min[size_t(px)], ndw,
-                                        p1_, p2_, base + lo, tot_x);
+                                    startRow(cost_x, nd_, c, tot_x);
+                            } else {
+                                s.cur_min[size_t(x)] = k_.aggregateRow(
+                                    cost_x, s.prev.row(px),
+                                    s.prev_min[size_t(px)], nd_, p1_,
+                                    p2_, c, tot_x);
                             }
                         }
                         if (down_out != nullptr) {
-                            TDown *dr = down_out + int64_t(x) * ndw;
-                            for (int j = 0; j < ndw; ++j)
-                                dr[j] = TDown(tot_x[j]);
+                            TDown *dr = down_out + int64_t(x) * nd_;
+                            for (int d = 0; d < nd_; ++d)
+                                dr[d] = TDown(tot_x[d]);
                         }
                         if (disp != nullptr) {
                             uint32_t best = tot_x[0];
-                            int bj = 0;
-                            for (int j = 1; j < ndw; ++j) {
-                                if (tot_x[j] < best) {
-                                    best = tot_x[j];
-                                    bj = j;
+                            int bd = 0;
+                            for (int d = 1; d < nd_; ++d) {
+                                if (tot_x[d] < best) {
+                                    best = tot_x[d];
+                                    bd = d;
                                 }
                             }
-                            float dv = float(lo + bj);
-                            if (p_.subpixel && bj > 0 &&
-                                bj + 1 < ndw) {
-                                dv += subpixelOffset(tot_x[bj - 1],
-                                                     tot_x[bj],
-                                                     tot_x[bj + 1]);
+                            float dv = float(bd);
+                            if (p_.subpixel && bd > 0 && bd + 1 < nd_) {
+                                dv += subpixelOffset(tot_x[bd - 1],
+                                                     tot_x[bd],
+                                                     tot_x[bd + 1]);
                             }
                             disp->at(x, y) = dv;
                         }
                     }
                 });
                 if (lr)
-                    leftRightCheckRow(*disp, right_disp.data(), tot,
-                                      y, lo, ndw);
-                prev2_lo = prev_lo;
-                prev2_hi = prev_hi;
-                prev_lo = lo;
-                prev_hi = lo + ndw;
+                    leftRightCheckRow(*disp, right_disp.data(), tot, y);
                 for (DirState &s : dirs)
                     s.advance();
             }
@@ -736,24 +422,23 @@ class StreamingSgm
     }
 
     /**
-     * Per-row left-right consistency check — identical arithmetic to
-     * the materialized reference, which is itself per-row: the right
-     * image's disparity at xr is argmin_d total(xr + d, y, d).
+     * Per-row left-right consistency check: the right image's
+     * disparity at xr is argmin_d total(xr + d, y, d), which lies in
+     * the same row of the total volume.
      */
     void
     leftRightCheckRow(DisparityMap &disp, float *right_disp,
-                      const uint32_t *tot, int y, int lo, int ndw)
+                      const uint32_t *tot, int y)
     {
         ctx_.parallelFor(0, w_, [&](int64_t a, int64_t b) {
             for (int xr = int(a); xr < int(b); ++xr) {
                 uint32_t best = std::numeric_limits<uint32_t>::max();
-                int bd = lo;
-                for (int j = 0; j < ndw && xr + lo + j < w_; ++j) {
-                    const uint32_t val =
-                        tot[int64_t(xr + lo + j) * ndw + j];
+                int bd = 0;
+                for (int d = 0; d < nd_ && xr + d < w_; ++d) {
+                    const uint32_t val = tot[int64_t(xr + d) * nd_ + d];
                     if (val < best) {
                         best = val;
-                        bd = lo + j;
+                        bd = d;
                     }
                 }
                 right_disp[xr] = float(bd);
@@ -774,14 +459,13 @@ class StreamingSgm
 
     const image::Image &left_, &right_;
     const SgmParams &p_;
-    const RowWindows &win_;
     const ExecContext &ctx_;
     const simd::Kernels &k_;
     int w_, h_, nd_;
     uint16_t p1_, p2_;
     int tile_rows_;
-    PoolHandle<uint16_t> cost_tile_;  //!< tile cost rows, stride ndw
-    PoolHandle<uint32_t> total_tile_; //!< tile total rows, stride ndw
+    PoolHandle<uint16_t> cost_tile_;  //!< tile cost rows, stride nd
+    PoolHandle<uint32_t> total_tile_; //!< tile total rows, stride nd
     // Parallel-stage scratch, pre-acquired per chunk so the live
     // same-shape buffer count (and with it the steady-state pool
     // miss count) never depends on how worker chunks overlap.
@@ -792,44 +476,32 @@ class StreamingSgm
     PoolHandle<TDown> down_vol_; //!< 8-path down-direction sums
 };
 
-/**
- * Streaming entry point: build the per-row windows (full-range, or
- * pruned from @p guide), pick the narrowest down-volume element type
- * that can hold three directions' worth of L_r exactly, and run.
- */
-DisparityMap
-sgmComputeStreamed(const image::Image &left, const image::Image &right,
-                   const SgmParams &params, const DisparityMap *guide,
-                   const ExecContext &ctx)
-{
-    const int w = left.width(), h = left.height();
-    const int nd = params.maxDisparity + 1;
-    const RowWindows win =
-        guide != nullptr
-            ? makeGuideWindows(*guide, nd,
-                               std::max(params.pruneMargin, 0), ctx)
-            : makeFullWindows(w, h, nd, ctx.buffers());
-    // L_r <= cost + P2 per direction (prev_min + P2 is always a min
-    // candidate), and cost <= (2r+1)^2 - 1 census bits, so the exact
-    // ceiling of a 3-direction cell is known up front.
-    const uint32_t cost_max =
-        uint32_t(2 * params.censusRadius + 1) *
-            uint32_t(2 * params.censusRadius + 1) -
-        1;
-    const uint32_t per_dir = std::min<uint32_t>(
-        0xFFFFu, cost_max + uint32_t(std::min(params.p2, 0xFFFF)));
-    const uint32_t down_max = 3 * per_dir;
-    if (params.paths != 8 || down_max <= 0xFF)
-        return StreamingSgm<uint8_t>(left, right, params, win, ctx)
-            .run();
-    if (down_max <= 0xFFFF)
-        return StreamingSgm<uint16_t>(left, right, params, win, ctx)
-            .run();
-    return StreamingSgm<uint32_t>(left, right, params, win, ctx)
-        .run();
-}
-
 } // namespace
+
+void
+censusInto(const image::Image &img, int radius,
+           const ExecContext &ctx, uint64_t *census)
+{
+    fatal_if(radius < 1 || radius > 3,
+             "census radius must be in [1, 3] (bits must fit uint64)");
+    const int w = img.width(), h = img.height();
+    const simd::Kernels &k = simd::kernels();
+    // Rows are independent; each writes a disjoint slice of census.
+    // Row-pointer scratch is pre-acquired per chunk: acquiring
+    // inside the worker lambdas would make the number of live
+    // same-shape buffers — and with it the steady-state pool miss
+    // count — depend on thread scheduling.
+    const int taps = 2 * radius + 1;
+    auto rows = ctx.buffers().acquire<const float *>(
+        size_t(ctx.pool().numThreads()) * size_t(taps));
+    ctx.parallelForChunks(0, h, [&](int64_t y0, int64_t y1, int c) {
+        const float **row = rows.data() + size_t(c) * size_t(taps);
+        for (int y = int(y0); y < int(y1); ++y) {
+            censusLineInto(img, radius, y, k, row,
+                           census + int64_t(y) * w);
+        }
+    });
+}
 
 std::vector<uint64_t>
 censusTransform(const image::Image &img, int radius,
@@ -847,46 +519,6 @@ censusTransform(const image::Image &img, int radius)
     return censusTransform(img, radius, ExecContext::global());
 }
 
-CostVolume
-sgmCostVolume(const image::Image &left, const image::Image &right,
-              const SgmParams &params, const ExecContext &ctx)
-{
-    panic_if(left.width() != right.width() ||
-                 left.height() != right.height(),
-             "stereo pair size mismatch");
-    const int w = left.width(), h = left.height();
-    const int nd = params.maxDisparity + 1;
-
-    // Census bit strings live in pooled scratch: they die with this
-    // call, and the next frame's census recycles them.
-    auto cl = ctx.buffers().acquire<uint64_t>(size_t(int64_t(w) * h));
-    auto cr = ctx.buffers().acquire<uint64_t>(size_t(int64_t(w) * h));
-    censusInto(left, params.censusRadius, ctx, cl.data());
-    censusInto(right, params.censusRadius, ctx, cr.data());
-
-    CostVolume vol;
-    vol.acquire(ctx.buffers(), w, h, nd);
-    const simd::Kernels &k = simd::kernels();
-    ctx.parallelFor(0, h, [&](int64_t y0, int64_t y1) {
-        for (int y = int(y0); y < int(y1); ++y) {
-            const uint64_t *l = cl.data() + int64_t(y) * w;
-            const uint64_t *r = cr.data() + int64_t(y) * w;
-            for (int d = 0; d < nd; ++d) {
-                uint16_t *out = vol.row(y, d);
-                // x < d clamps the right coordinate to column 0.
-                const int p = std::min(d, w);
-                for (int x = 0; x < p; ++x) {
-                    out[x] = static_cast<uint16_t>(
-                        std::popcount(l[x] ^ r[0]));
-                }
-                if (w > d)
-                    k.hammingRow(l + d, r, w - d, out + d);
-            }
-        }
-    });
-    return vol;
-}
-
 int64_t
 sgmOps(int width, int height, const SgmParams &params)
 {
@@ -895,14 +527,17 @@ sgmOps(int width, int height, const SgmParams &params)
     const int64_t census_taps =
         int64_t(2 * params.censusRadius + 1) *
         (2 * params.censusRadius + 1);
-    // Census (2 frames, twice in the fused two-sweep mode) + cost
+    // Census (2 frames, twice in the two-sweep 8-path mode) + cost
     // rows + aggregation passes (~4 ops per (pixel, d)) + WTA.
-    const int64_t sweeps =
-        params.fused && params.paths == 8 ? 2 : 1;
+    const int64_t sweeps = params.paths == 8 ? 2 : 1;
     return sweeps * (2 * pixels * census_taps + pixels * nd) +
            params.paths * pixels * nd * 4 + pixels * nd;
 }
 
+/**
+ * Pick the narrowest down-volume element type that holds three
+ * directions' worth of L_r exactly, and run the streaming engine.
+ */
 DisparityMap
 sgmCompute(const image::Image &left, const image::Image &right,
            const SgmParams &params, const ExecContext &ctx)
@@ -911,123 +546,21 @@ sgmCompute(const image::Image &left, const image::Image &right,
                  left.height() != right.height(),
              "stereo pair size mismatch");
     validateSgmParams(params);
-    if (params.fused || params.paths != 8)
-        return sgmComputeStreamed(left, right, params, nullptr, ctx);
-    const int w = left.width(), h = left.height();
-    const int nd = params.maxDisparity + 1;
-
-    // 1. Census + Hamming cost volume (disparity-major rows — the
-    // layout the XOR+popcount kernel wants), then one transpose to
-    // pixel-major so every pixel's nd disparities are the contiguous
-    // uint16 lanes the aggregateRow kernel consumes. The d-major
-    // volume is released to the pool right after — the steady-state
-    // footprint is unchanged, and the next frame's d-major volume
-    // recycles it.
-    CostVolume vol = sgmCostVolume(left, right, params, ctx);
-    auto cost_pm =
-        ctx.buffers().acquire<uint16_t>(size_t(vol.size()));
-    ctx.parallelFor(0, h, [&](int64_t y0, int64_t y1) {
-        for (int y = int(y0); y < int(y1); ++y) {
-            for (int d = 0; d < nd; ++d) {
-                const uint16_t *src = vol.row(y, d);
-                uint16_t *dst =
-                    cost_pm.data() + int64_t(y) * w * nd + d;
-                for (int x = 0; x < w; ++x)
-                    dst[int64_t(x) * nd] = src[x];
-            }
-        }
-    });
-    vol.release();
-
-    // 2. Eight-path aggregation through the dispatched aggregateRow
-    // kernel. Each pass parallelizes internally (rows / column strips
-    // / diagonal row wavefronts); passes run in sequence, each cell
-    // of `total` is incremented exactly once per pass, and all
-    // arithmetic is exact integer, so the sum is bit-identical to the
-    // serial loop for any worker count and SIMD level. Penalties
-    // above 0xFFFF can never win the min, so clamping preserves the
-    // unclamped semantics (see AggregateRowFn).
-    auto total = ctx.buffers().acquireZeroed<uint32_t>(
-        size_t(int64_t(w) * h * nd));
-    const AggregateView view{
-        cost_pm.data(),
-        total.data(),
-        w,
-        h,
-        nd,
-        static_cast<uint16_t>(std::min(params.p1, 0xFFFF)),
-        static_cast<uint16_t>(std::min(params.p2, 0xFFFF))};
-    const int dirs[8][2] = {{1, 0},  {-1, 0}, {0, 1},  {0, -1},
-                            {1, 1},  {-1, 1}, {1, -1}, {-1, -1}};
-    for (const auto &dir : dirs)
-        aggregateDirection(view, dir[0], dir[1], ctx);
-
-    // 3. Winner-take-all with sub-pixel refinement; each pixel's
-    // disparity slice is a contiguous scan in the pixel-major layout.
-    // Every pixel is written, so the pooled map skips the clear.
-    DisparityMap disp = image::acquireImageUninit(ctx.buffers(), w, h);
-    ctx.parallelFor(0, h, [&](int64_t y0, int64_t y1) {
-        for (int y = int(y0); y < int(y1); ++y) {
-            for (int x = 0; x < w; ++x) {
-                const uint32_t *s = view.totalPx(x, y);
-                uint32_t best = s[0];
-                int bd = 0;
-                for (int d = 1; d < nd; ++d) {
-                    if (s[d] < best) {
-                        best = s[d];
-                        bd = d;
-                    }
-                }
-                float dv = static_cast<float>(bd);
-                if (params.subpixel && bd > 0 && bd + 1 < nd) {
-                    dv += subpixelOffset(s[bd - 1], s[bd],
-                                         s[bd + 1]);
-                }
-                disp.at(x, y) = dv;
-            }
-        }
-    });
-
-    // 4. Left-right consistency check on the aggregated volume:
-    // disparity of right pixel xr is argmin_d total(xr + d, y, d).
-    if (params.leftRightCheck) {
-        DisparityMap right_disp =
-            image::acquireImageUninit(ctx.buffers(), w, h);
-        ctx.parallelFor(0, h, [&](int64_t y0, int64_t y1) {
-            for (int y = int(y0); y < int(y1); ++y) {
-                for (int xr = 0; xr < w; ++xr) {
-                    uint32_t best =
-                        std::numeric_limits<uint32_t>::max();
-                    int bd = 0;
-                    for (int d = 0; d < nd && xr + d < w; ++d) {
-                        const uint32_t val =
-                            view.totalPx(xr + d, y)[d];
-                        if (val < best) {
-                            best = val;
-                            bd = d;
-                        }
-                    }
-                    right_disp.at(xr, y) = static_cast<float>(bd);
-                }
-            }
-        });
-        ctx.parallelFor(0, h, [&](int64_t y0, int64_t y1) {
-            for (int y = int(y0); y < int(y1); ++y) {
-                for (int x = 0; x < w; ++x) {
-                    const int d =
-                        static_cast<int>(std::lround(disp.at(x, y)));
-                    const int xr = x - d;
-                    if (xr < 0 ||
-                        std::abs(right_disp.at(xr, y) - d) >
-                            params.lrTolerance) {
-                        disp.at(x, y) = kInvalidDisparity;
-                    }
-                }
-            }
-        });
-    }
-
-    return disp;
+    // L_r <= cost + P2 per direction (prev_min + P2 is always a min
+    // candidate), and cost <= (2r+1)^2 - 1 census bits, so the exact
+    // ceiling of a 3-direction cell is known up front.
+    const uint32_t cost_max =
+        uint32_t(2 * params.censusRadius + 1) *
+            uint32_t(2 * params.censusRadius + 1) -
+        1;
+    const uint32_t per_dir = std::min<uint32_t>(
+        0xFFFFu, cost_max + uint32_t(std::min(params.p2, 0xFFFF)));
+    const uint32_t down_max = 3 * per_dir;
+    if (params.paths != 8 || down_max <= 0xFF)
+        return StreamingSgm<uint8_t>(left, right, params, ctx).run();
+    if (down_max <= 0xFFFF)
+        return StreamingSgm<uint16_t>(left, right, params, ctx).run();
+    return StreamingSgm<uint32_t>(left, right, params, ctx).run();
 }
 
 DisparityMap
@@ -1035,24 +568,6 @@ sgmCompute(const image::Image &left, const image::Image &right,
            const SgmParams &params)
 {
     return sgmCompute(left, right, params, ExecContext::global());
-}
-
-DisparityMap
-sgmComputeGuided(const image::Image &left, const image::Image &right,
-                 const DisparityMap &guide, const SgmParams &params,
-                 const ExecContext &ctx)
-{
-    panic_if(left.width() != right.width() ||
-                 left.height() != right.height(),
-             "stereo pair size mismatch");
-    validateSgmParams(params);
-    // A missing or size-mismatched guide (first frame, mid-stream
-    // resolution change) degrades to the unguided engine.
-    if (guide.width() != left.width() ||
-        guide.height() != left.height() || !params.fused) {
-        return sgmCompute(left, right, params, ctx);
-    }
-    return sgmComputeStreamed(left, right, params, &guide, ctx);
 }
 
 } // namespace asv::stereo

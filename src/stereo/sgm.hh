@@ -14,11 +14,8 @@
 #define ASV_STEREO_SGM_HH
 
 #include <cstdint>
-#include <memory>
-#include <utility>
 #include <vector>
 
-#include "common/buffer_pool.hh"
 #include "common/exec_context.hh"
 #include "image/image.hh"
 #include "stereo/disparity.hh"
@@ -30,28 +27,13 @@ namespace asv::stereo
 struct SgmParams
 {
     int censusRadius = 2;  //!< census window is (2r+1)^2 (<= 5x5 bits)
-    int maxDisparity = 64; //!< disparity range [0, maxDisparity]
+    int maxDisparity = 64; //!< disparity range [0, maxDisparity], >= 0
     int p1 = 3;            //!< small-jump penalty (|dd| == 1, >= 0)
     int p2 = 40;           //!< large-jump penalty (|dd| > 1, >= 0)
     bool subpixel = true;  //!< parabolic sub-pixel interpolation
     bool leftRightCheck = true; //!< invalidate inconsistent pixels
-    int lrTolerance = 1;   //!< max allowed L/R disagreement (pixels)
+    int lrTolerance = 1;   //!< max L/R disagreement (pixels, >= 0)
     int paths = 8;         //!< aggregation paths: 4, 5, or 8
-    /**
-     * Fused streaming engine (the default): census + Hamming cost
-     * rows are generated on the fly inside the aggregation sweeps and
-     * no full cost volume is ever resident. Bit-identical to the
-     * materialized reference at paths == 8; set false to run the
-     * materialized reference pipeline (equivalence tests, debugging).
-     */
-    bool fused = true;
-    /**
-     * Disparity head-room (pixels) added on both sides of a row's
-     * guide-derived search window in sgmComputeGuided(). Larger
-     * margins tolerate faster scene motion; margin >= maxDisparity
-     * degenerates to the full range (and thus to plain sgmCompute).
-     */
-    int pruneMargin = 8;
 };
 
 /**
@@ -70,142 +52,24 @@ std::vector<uint64_t> censusTransform(const image::Image &img,
                                       int radius);
 
 /**
- * Hamming matching-cost volume in disparity-major row layout:
- * cost[(y * nd + d) * width + x]. For a fixed (y, d) the x run is
- * contiguous, which is what lets the XOR+popcount kernel issue full
- * vector loads; a whole (y, *, *) row block is nd * width uint16s,
- * small enough to stay cache-resident through aggregation and WTA.
- */
-struct CostVolume
-{
-    int width = 0, height = 0, nd = 0;
-    std::vector<uint16_t> cost;
-
-    CostVolume() = default;
-
-    /** A copy is a plain (non-pooled) value. */
-    CostVolume(const CostVolume &other)
-        : width(other.width), height(other.height), nd(other.nd),
-          cost(other.cost)
-    {
-    }
-
-    CostVolume &
-    operator=(const CostVolume &other)
-    {
-        if (this != &other) {
-            width = other.width;
-            height = other.height;
-            nd = other.nd;
-            cost = other.cost; // reuses capacity when possible
-        }
-        return *this;
-    }
-
-    /** Moves transfer the storage and its pool backref. */
-    CostVolume(CostVolume &&other) noexcept
-        : width(other.width), height(other.height), nd(other.nd),
-          cost(std::move(other.cost)), pool_(std::move(other.pool_))
-    {
-        other.width = other.height = other.nd = 0;
-    }
-
-    CostVolume &
-    operator=(CostVolume &&other) noexcept
-    {
-        if (this != &other) {
-            release();
-            width = other.width;
-            height = other.height;
-            nd = other.nd;
-            cost = std::move(other.cost);
-            pool_ = std::move(other.pool_);
-            other.width = other.height = other.nd = 0;
-        }
-        return *this;
-    }
-
-    ~CostVolume() { release(); }
-
-    /**
-     * Size this volume for (w, h, num_d) with cost storage drawn
-     * from @p pool (shelved back on destruction or release()).
-     * Contents unspecified — sgmCostVolume() writes every cell.
-     */
-    void
-    acquire(BufferPool &pool, int w, int h, int num_d)
-    {
-        release();
-        width = w;
-        height = h;
-        nd = num_d;
-        cost = pool.state()->take<uint16_t>(
-            size_t(int64_t(w) * h * num_d), false);
-        pool_ = pool.state();
-    }
-
-    /**
-     * Return the cost storage to its pool (or free it) now; the
-     * dimensions stay. sgmCompute() releases the d-major volume as
-     * soon as it is transposed, halving the stage's footprint.
-     */
-    void
-    release() noexcept
-    {
-        if (pool_) {
-            pool_->give(std::move(cost));
-            pool_.reset();
-        }
-        cost = std::vector<uint16_t>();
-    }
-
-    int64_t
-    idx(int x, int y, int d) const
-    {
-        return (int64_t(y) * nd + d) * width + x;
-    }
-
-    /** Base of the contiguous x run for (y, d). */
-    const uint16_t *row(int y, int d) const
-    {
-        return cost.data() + (int64_t(y) * nd + d) * width;
-    }
-    uint16_t *row(int y, int d)
-    {
-        return cost.data() + (int64_t(y) * nd + d) * width;
-    }
-
-    int64_t size() const { return int64_t(width) * height * nd; }
-
-  private:
-    std::shared_ptr<detail::PoolState> pool_; //!< null = plain value
-};
-
-/**
- * Census + XOR/popcount Hamming cost volume of a rectified pair
- * (stage 1 of sgmCompute, exposed for benches and property tests).
+ * censusTransform() into caller-provided storage of w * h entries;
+ * the per-chunk row-pointer scratch comes from @p ctx's BufferPool.
  * Row-parallel on @p ctx; bit-identical across SIMD levels and
  * worker counts.
  */
-CostVolume sgmCostVolume(const image::Image &left,
-                         const image::Image &right,
-                         const SgmParams &params,
-                         const ExecContext &ctx);
+void censusInto(const image::Image &img, int radius,
+                const ExecContext &ctx, uint64_t *census);
 
 /** Number of arithmetic ops of sgmCompute on a w x h frame. */
 int64_t sgmOps(int width, int height, const SgmParams &params);
 
 /**
- * Run SGM and return the left-reference disparity map. Every stage
- * (census, cost volume, the 8-path aggregation, WTA, the L/R check)
- * fans out on @p ctx's pool; results are bit-identical for any
- * worker count and any SIMD level. Aggregation uses scanline/
- * wavefront parallelism *inside* each directional pass (independent
- * rows, column strips, or diagonal row wavefronts), so it scales past
- * 8 workers and needs only O(row) scratch instead of one partial
- * volume per busy chunk; the cost volume is transposed once to
- * pixel-major so each pixel's recurrence runs through the dispatched
- * asv::simd aggregateRow kernel (uint16 disparity lanes).
+ * Run SGM and return the left-reference disparity map. The engine is
+ * fused and streaming: census and Hamming cost rows are generated on
+ * the fly inside the aggregation wavefronts, so no full cost volume
+ * is ever resident (see sgm.cc). Every stage fans out on @p ctx's
+ * pool and all scratch comes from its BufferPool; results are
+ * bit-identical for any worker count and any SIMD level.
  */
 DisparityMap sgmCompute(const image::Image &left,
                         const image::Image &right,
@@ -216,24 +80,6 @@ DisparityMap sgmCompute(const image::Image &left,
 DisparityMap sgmCompute(const image::Image &left,
                         const image::Image &right,
                         const SgmParams &params = {});
-
-/**
- * Range-pruned streaming SGM: each row's disparity search window is
- * seeded from @p guide — typically the previous frame's disparity
- * propagated to this frame — as [floor(min) - pruneMargin,
- * ceil(max) + pruneMargin] over the row's valid guide pixels, clamped
- * to [0, maxDisparity]. Rows without a valid guide pixel search the
- * full range, and an empty or size-mismatched @p guide falls back to
- * sgmCompute() entirely, so a lost prior degrades to plain SGM rather
- * than failing. Deterministic for any worker count and SIMD level;
- * with pruneMargin >= maxDisparity the result is bit-identical to
- * sgmCompute().
- */
-DisparityMap sgmComputeGuided(const image::Image &left,
-                              const image::Image &right,
-                              const DisparityMap &guide,
-                              const SgmParams &params,
-                              const ExecContext &ctx);
 
 } // namespace asv::stereo
 

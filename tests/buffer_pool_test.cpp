@@ -28,8 +28,8 @@
 #include "data/scene.hh"
 #include "debug/alloc_tracker.hh"
 #include "image/image.hh"
+#include "reference/sgm_materialized.hh"
 #include "stereo/matcher.hh"
-#include "stereo/sgm.hh"
 
 namespace
 {
@@ -203,7 +203,7 @@ TEST(BufferPool, HandlesOutliveThePool)
 {
     PoolHandle<float> survivor;
     image::Image pooled_img;
-    stereo::CostVolume pooled_vol;
+    stereo::reference::CostVolume pooled_vol;
     {
         BufferPool pool;
         survivor = pool.acquire<float>(128);

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the fused, tiled, streaming SGM engine: bit-identity
- * against the materialized reference pipeline (odd sizes,
+ * against the materialized reference (tests/reference/; odd sizes,
  * non-lane-multiple disparity ranges, every SIMD level, 1 and 8
- * workers), the 4/5-path variants, the range-pruned guided mode, the
+ * workers), the 4/5-path variants, parameter validation, the
  * resident-footprint contract, and allocation-free steady state.
  */
 
@@ -18,6 +18,7 @@
 #include "common/thread_pool.hh"
 #include "data/scene.hh"
 #include "debug/alloc_tracker.hh"
+#include "reference/sgm_materialized.hh"
 #include "stereo/disparity.hh"
 #include "stereo/matcher.hh"
 #include "stereo/sgm.hh"
@@ -109,38 +110,21 @@ TEST(SgmStream, FusedBitIdenticalToMaterialized)
           {64, 33, 31, 3}}) {
         const image::Image left = randomImage(w, h, rng);
         const image::Image right = shiftedImage(left, 4, rng);
-        stereo::SgmParams fused;
-        fused.maxDisparity = max_d;
-        fused.censusRadius = radius;
-        stereo::SgmParams materialized = fused;
-        materialized.fused = false;
+        stereo::SgmParams params;
+        params.maxDisparity = max_d;
+        params.censusRadius = radius;
         LevelGuard scalar(simd::Level::Scalar);
-        const auto ref = stereo::sgmCompute(left, right, materialized,
-                                            ExecContext(t1));
+        const auto ref = stereo::reference::sgmComputeMaterialized(
+            left, right, params, ExecContext(t1));
         for (simd::Level level : supportedLevels()) {
             LevelGuard guard(level);
             for (ThreadPool *pool : {&t1, &t8}) {
                 const auto got = stereo::sgmCompute(
-                    left, right, fused, ExecContext(*pool));
+                    left, right, params, ExecContext(*pool));
                 expectBitIdentical(ref, got, "fused vs materialized");
             }
         }
     }
-}
-
-TEST(SgmStream, RegistryFusedOptionBitIdentical)
-{
-    Rng rng(32);
-    const image::Image left = randomImage(41, 23, rng);
-    const image::Image right = shiftedImage(left, 5, rng);
-    const auto fused = stereo::makeMatcher("sgm", "maxDisparity=21");
-    const auto materialized =
-        stereo::makeMatcher("sgm", "maxDisparity=21,fused=0");
-    const auto a =
-        fused->compute(left, right, ExecContext::global());
-    const auto b =
-        materialized->compute(left, right, ExecContext::global());
-    expectBitIdentical(a, b, "registry fused vs fused=0");
 }
 
 // --------------------------------------------------- 4/5-path modes
@@ -197,129 +181,32 @@ TEST(SgmStream, RegistryRejectsBadPathOptions)
 {
     EXPECT_THROW(stereo::makeMatcher("sgm", "paths=6"),
                  std::invalid_argument);
-    EXPECT_THROW(stereo::makeMatcher("sgm", "paths=4,fused=0"),
+    EXPECT_THROW(stereo::makeMatcher("sgm", "lrTolerance=-1"),
                  std::invalid_argument);
-    EXPECT_THROW(stereo::makeMatcher("sgm", "pruneMargin=-1"),
-                 std::invalid_argument);
+    // A spec naming a key the engine does not have must throw, not
+    // silently run the defaults.
+    for (const char *removed : {"fused=0", "rangePrune=1",
+                                "pruneMargin=3"}) {
+        EXPECT_THROW(stereo::makeMatcher("sgm", removed),
+                     std::invalid_argument)
+            << removed;
+    }
 }
 
-// ------------------------------------------------- range-pruned mode
-
-TEST(SgmStream, RangePrunedFullMarginBitIdenticalToUnguided)
+TEST(SgmStreamDeathTest, RejectsNegativeMaxDisparityAndLrTolerance)
 {
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     Rng rng(35);
-    ThreadPool t4(4);
-    const ExecContext ctx(t4);
-    const image::Image left = randomImage(47, 25, rng);
-    const image::Image right = shiftedImage(left, 6, rng);
+    const image::Image left = randomImage(17, 9, rng);
+    const image::Image right = shiftedImage(left, 2, rng);
     stereo::SgmParams params;
-    params.maxDisparity = 31;
-    const auto unguided = stereo::sgmCompute(left, right, params, ctx);
-    // margin >= maxDisparity widens every window to the full range:
-    // the guided engine must then be bit-identical to the unguided
-    // one (and, transitively, to the materialized reference).
-    params.pruneMargin = params.maxDisparity;
-    const auto guided = stereo::sgmComputeGuided(
-        left, right, unguided, params, ctx);
-    expectBitIdentical(unguided, guided, "full-margin range prune");
-}
-
-TEST(SgmStream, RangePrunedBitIdenticalAcrossLevelsAndThreads)
-{
-    Rng rng(36);
-    ThreadPool t1(1), t8(8);
-    const image::Image left = randomImage(51, 27, rng);
-    const image::Image right = shiftedImage(left, 5, rng);
-    stereo::SgmParams params;
-    params.maxDisparity = 29;
-    params.pruneMargin = 4;
-    LevelGuard scalar(simd::Level::Scalar);
-    const auto guide =
-        stereo::sgmCompute(left, right, params, ExecContext(t1));
-    const auto ref = stereo::sgmComputeGuided(left, right, guide,
-                                              params, ExecContext(t1));
-    for (simd::Level level : supportedLevels()) {
-        LevelGuard guard(level);
-        for (ThreadPool *pool : {&t1, &t8}) {
-            const auto got = stereo::sgmComputeGuided(
-                left, right, guide, params, ExecContext(*pool));
-            expectBitIdentical(ref, got, "range-pruned");
-        }
-    }
-}
-
-TEST(SgmStream, RangePrunedRecoversConstantDisparity)
-{
-    Rng rng(37);
-    image::Image tex = data::makeTexture(160, 64, 7.f, rng);
-    image::Image left(tex.width() - 12, tex.height());
-    image::Image right(tex.width() - 12, tex.height());
-    for (int y = 0; y < left.height(); ++y) {
-        for (int x = 0; x < left.width(); ++x) {
-            left.at(x, y) = tex.at(x, y);
-            right.at(x, y) = tex.at(x + 12, y);
-        }
-    }
-    stereo::DisparityMap gt(left.width(), left.height());
-    gt.fill(12.f);
-    stereo::SgmParams params;
-    params.maxDisparity = 32;
-    params.pruneMargin = 4;
-    const auto d = stereo::sgmComputeGuided(
-        left, right, gt, params, ExecContext::global());
-    EXPECT_LT(stereo::badPixelRate(d, gt, 1.0, 32), 5.0);
-}
-
-TEST(SgmStream, RangePrunedFallsBackWithoutUsableGuide)
-{
-    Rng rng(38);
-    const image::Image left = randomImage(33, 15, rng);
-    const image::Image right = shiftedImage(left, 3, rng);
-    stereo::SgmParams params;
-    params.maxDisparity = 15;
-    const auto unguided = stereo::sgmCompute(left, right, params);
-    // Empty and size-mismatched guides degrade to plain compute.
-    const auto empty_guide = stereo::sgmComputeGuided(
-        left, right, stereo::DisparityMap(), params,
-        ExecContext::global());
-    expectBitIdentical(unguided, empty_guide, "empty guide");
-    stereo::DisparityMap wrong(8, 8);
-    wrong.fill(2.f);
-    const auto mismatched = stereo::sgmComputeGuided(
-        left, right, wrong, params, ExecContext::global());
-    expectBitIdentical(unguided, mismatched, "mismatched guide");
-    // A guide with no valid pixel prunes nothing: full range per row.
-    stereo::DisparityMap invalid(left.width(), left.height());
-    invalid.fill(stereo::kInvalidDisparity);
-    const auto all_invalid = stereo::sgmComputeGuided(
-        left, right, invalid, params, ExecContext::global());
-    expectBitIdentical(unguided, all_invalid, "all-invalid guide");
-}
-
-TEST(SgmStream, RegistryRangePruneEngineUsesGuide)
-{
-    Rng rng(39);
-    const image::Image left = randomImage(49, 21, rng);
-    const image::Image right = shiftedImage(left, 4, rng);
-    const auto pruned = stereo::makeMatcher(
-        "sgm", "maxDisparity=21,rangePrune=1,pruneMargin=3");
-    EXPECT_TRUE(pruned->guided());
-    const auto plain = stereo::makeMatcher("sgm", "maxDisparity=21");
-    EXPECT_FALSE(plain->guided());
-    const auto guide =
-        plain->compute(left, right, ExecContext::global());
-    const auto a = pruned->computeGuided(left, right, guide,
-                                         ExecContext::global());
-    const auto b = stereo::sgmComputeGuided(
-        left, right, guide,
-        []() {
-            stereo::SgmParams p;
-            p.maxDisparity = 21;
-            p.pruneMargin = 3;
-            return p;
-        }(),
-        ExecContext::global());
-    expectBitIdentical(a, b, "registry range-pruned engine");
+    params.maxDisparity = -1;
+    EXPECT_DEATH(stereo::sgmCompute(left, right, params),
+                 "maxDisparity must be >= 0");
+    params.maxDisparity = 8;
+    params.lrTolerance = -1;
+    EXPECT_DEATH(stereo::sgmCompute(left, right, params),
+                 "lrTolerance must be >= 0");
 }
 
 // -------------------------------------------------- resident memory
@@ -339,11 +226,12 @@ TEST(SgmStream, FusedResidentFootprintAtLeast4xSmaller)
     auto footprint = [&](bool fused) {
         ThreadPool pool(2);
         BufferPool buffers;
-        stereo::SgmParams p = params;
-        p.fused = fused;
+        const ExecContext ctx(pool, buffers);
         {
-            const auto d = stereo::sgmCompute(
-                left, right, p, ExecContext(pool, buffers));
+            const auto d =
+                fused ? stereo::sgmCompute(left, right, params, ctx)
+                      : stereo::reference::sgmComputeMaterialized(
+                            left, right, params, ctx);
             EXPECT_EQ(d.width(), n);
         }
         return buffers.stats().residentBytes;
@@ -362,18 +250,13 @@ TEST(SgmStream, SteadyStateIsAllocationFree)
     Rng rng(41);
     const image::Image left = randomImage(96, 64, rng);
     const image::Image right = shiftedImage(left, 6, rng);
-    stereo::DisparityMap guide(left.width(), left.height());
-    guide.fill(6.f);
 
     struct Case
     {
         const char *name;
         int paths;
-        bool range_prune;
     };
-    for (const Case &c : {Case{"fused-8", 8, false},
-                          Case{"paths-4", 4, false},
-                          Case{"range-pruned", 8, true}}) {
+    for (const Case &c : {Case{"fused-8", 8}, Case{"paths-4", 4}}) {
         SCOPED_TRACE(c.name);
         ThreadPool pool(2);
         BufferPool buffers;
@@ -381,19 +264,15 @@ TEST(SgmStream, SteadyStateIsAllocationFree)
         stereo::SgmParams params;
         params.maxDisparity = 32;
         params.paths = c.paths;
-        params.pruneMargin = 4;
         auto run = [&]() {
-            return c.range_prune
-                       ? stereo::sgmComputeGuided(left, right, guide,
-                                                  params, ctx)
-                       : stereo::sgmCompute(left, right, params, ctx);
+            return stereo::sgmCompute(left, right, params, ctx);
         };
         stereo::DisparityMap d;
         for (int i = 0; i < 3; ++i)
             d = run(); // warm every shelf shape
         {
-            // Tile scratch, wavefront rows, window metadata, and the
-            // output map must all recycle through the pool.
+            // Tile scratch, wavefront rows, and the output map must
+            // all recycle through the pool.
             ASV_ASSERT_NO_ALLOC;
             for (int i = 0; i < 3; ++i)
                 d = run();

@@ -27,6 +27,7 @@
 #include "common/thread_pool.hh"
 #include "data/scene.hh"
 #include "image/image.hh"
+#include "reference/sgm_materialized.hh"
 #include "stereo/block_matching.hh"
 #include "stereo/matcher.hh"
 #include "stereo/sgm.hh"
@@ -359,11 +360,11 @@ TEST(SimdProperty, CostVolumeBitIdenticalAcrossLevels)
         stereo::SgmParams params;
         params.maxDisparity = max_d;
         LevelGuard scalar(simd::Level::Scalar);
-        const auto ref = stereo::sgmCostVolume(
+        const auto ref = stereo::reference::sgmCostVolume(
             left, right, params, ExecContext::global());
         for (simd::Level level : supportedLevels()) {
             LevelGuard guard(level);
-            const auto got = stereo::sgmCostVolume(
+            const auto got = stereo::reference::sgmCostVolume(
                 left, right, params, ExecContext::global());
             ASSERT_EQ(ref.cost, got.cost)
                 << simd::levelName(level) << " " << w << "x" << h
