@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the functional kernels: the
  * reference deconvolution vs the transformed execution (the wall
- * clock counterpart of the op-count savings), Farnebäck flow, block
+ * clock counterpart of the op-count savings), Farnebäck flow (also
+ * at ISM's 160x120 flow shape) and its polynomial expansion, block
  * matching and SGM — the streaming engine, its 4-path variant, and
  * the materialized test oracle (tests/reference/), each reporting
  * its peak resident arena bytes — plus a per-SIMD-level sweep of the
@@ -26,6 +27,8 @@
 #include "common/exec_context.hh"
 #include "common/rng.hh"
 #include "common/simd.hh"
+#include "common/thread_pool.hh"
+#include "core/ism.hh"
 #include "data/scene.hh"
 #include "debug/alloc_tracker.hh"
 #include "deconv/transform.hh"
@@ -93,6 +96,46 @@ BM_FarnebackFlow(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * n * n);
 }
 BENCHMARK(BM_FarnebackFlow)->Arg(64)->Arg(128);
+
+/**
+ * Farnebäck at the shape ISM runs it on: the 160x120 half-resolution
+ * flow of a 320x240 stream, with IsmParams{}.flowParams, on an
+ * explicit 2-worker pool and a private arena.
+ */
+void
+BM_FarnebackFlowIsm(benchmark::State &state)
+{
+    Rng rng(3);
+    image::Image a = data::makeTexture(160, 120, 8.f, rng);
+    image::Image b = data::makeTexture(160, 120, 8.f, rng);
+    const flow::FarnebackParams params = core::IsmParams{}.flowParams;
+    ThreadPool pool(2);
+    BufferPool buffers;
+    const ExecContext ctx(pool, buffers);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            flow::farnebackFlow(a, b, params, nullptr, ctx));
+    state.SetItemsProcessed(state.iterations() * 160 * 120);
+}
+BENCHMARK(BM_FarnebackFlowIsm)->Name("BM_FarnebackFlow/ism");
+
+/** One polynomial expansion of an n x 3n/4 frame (n = 160: ISM). */
+void
+BM_PolyExpansion(benchmark::State &state)
+{
+    Rng rng(3);
+    const int w = int(state.range(0)), h = w * 3 / 4;
+    image::Image a = data::makeTexture(w, h, 8.f, rng);
+    const flow::FarnebackParams params = core::IsmParams{}.flowParams;
+    ThreadPool pool(2);
+    BufferPool buffers;
+    const ExecContext ctx(pool, buffers);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(flow::polyExpansion(
+            a, params.polyRadius, params.polySigma, ctx));
+    state.SetItemsProcessed(state.iterations() * w * h);
+}
+BENCHMARK(BM_PolyExpansion)->Arg(160);
 
 void
 BM_BlockMatchingFull(benchmark::State &state)

@@ -1,8 +1,8 @@
 #include "flow/farneback.hh"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
-#include <vector>
 
 #include "common/logging.hh"
 #include "common/math_util.hh"
@@ -79,52 +79,43 @@ inverseGram(int radius, double sigma)
     return inv;
 }
 
-/** One separable pass along x with kernel w(t)*t^p. */
-image::Image
-rowMoment(const image::Image &src, int radius, double sigma, int p,
-          const ExecContext &ctx)
+/*
+ * The two tap kernels of the expansion: one tap of the x-moment pass
+ * and one tap of the y-moment pass, over a whole row. Each adds the
+ * double product k * v to its accumulator row, the same term the
+ * per-pixel tap loop adds. The accumulator rows are disjoint, which
+ * __restrict tells the vectorizer.
+ */
+
+/** a_p[x] += k_p * v[x], p = 0, 1, 2. */
+void
+rowTaps(double *__restrict a0, double *__restrict a1,
+        double *__restrict a2, const float *v, double k0, double k1,
+        double k2, int n)
 {
-    image::Image dst = image::acquireImageUninit(
-        ctx.buffers(), src.width(), src.height());
-    auto k = ctx.buffers().acquire<double>(size_t(2 * radius + 1));
-    for (int t = -radius; t <= radius; ++t) {
-        const double w =
-            std::exp(-(double(t) * t) / (2.0 * sigma * sigma));
-        k[t + radius] = w * std::pow(double(t), p);
+    for (int x = 0; x < n; ++x) {
+        a0[x] += k0 * v[x];
+        a1[x] += k1 * v[x];
+        a2[x] += k2 * v[x];
     }
-    for (int y = 0; y < src.height(); ++y) {
-        for (int x = 0; x < src.width(); ++x) {
-            double acc = 0.0;
-            for (int t = -radius; t <= radius; ++t)
-                acc += k[t + radius] * src.atClamped(x + t, y);
-            dst.at(x, y) = static_cast<float>(acc);
-        }
-    }
-    return dst;
 }
 
-/** One separable pass along y with kernel w(t)*t^q. */
-image::Image
-colMoment(const image::Image &src, int radius, double sigma, int q,
-          const ExecContext &ctx)
+/** m_pq[x] += k_q * r_p[x] for the six moments m00 .. m11. */
+void
+columnTaps(double *__restrict m00, double *__restrict m10,
+           double *__restrict m01, double *__restrict m20,
+           double *__restrict m02, double *__restrict m11,
+           const float *r0, const float *r1, const float *r2, double k0,
+           double k1, double k2, int n)
 {
-    image::Image dst = image::acquireImageUninit(
-        ctx.buffers(), src.width(), src.height());
-    auto k = ctx.buffers().acquire<double>(size_t(2 * radius + 1));
-    for (int t = -radius; t <= radius; ++t) {
-        const double w =
-            std::exp(-(double(t) * t) / (2.0 * sigma * sigma));
-        k[t + radius] = w * std::pow(double(t), q);
+    for (int x = 0; x < n; ++x) {
+        m00[x] += k0 * r0[x];
+        m10[x] += k0 * r1[x];
+        m01[x] += k1 * r0[x];
+        m20[x] += k0 * r2[x];
+        m02[x] += k2 * r0[x];
+        m11[x] += k1 * r1[x];
     }
-    for (int y = 0; y < src.height(); ++y) {
-        for (int x = 0; x < src.width(); ++x) {
-            double acc = 0.0;
-            for (int t = -radius; t <= radius; ++t)
-                acc += k[t + radius] * src.atClamped(x, y + t);
-            dst.at(x, y) = static_cast<float>(acc);
-        }
-    }
-    return dst;
 }
 
 } // namespace
@@ -135,20 +126,8 @@ polyExpansion(const image::Image &img, int radius, double sigma,
 {
     panic_if(radius < 1, "polynomial radius must be >= 1");
     const int w = img.width(), h = img.height();
+    const int taps = 2 * radius + 1;
     const auto ginv = inverseGram(radius, sigma);
-
-    // Separable moments: m(p,q) = col_q(row_p(f)). All intermediates
-    // and the six coefficient planes are pooled, so a warm expansion
-    // allocates nothing.
-    const image::Image r0 = rowMoment(img, radius, sigma, 0, ctx);
-    const image::Image r1 = rowMoment(img, radius, sigma, 1, ctx);
-    const image::Image r2 = rowMoment(img, radius, sigma, 2, ctx);
-    const image::Image m00 = colMoment(r0, radius, sigma, 0, ctx);
-    const image::Image m10 = colMoment(r1, radius, sigma, 0, ctx);
-    const image::Image m01 = colMoment(r0, radius, sigma, 1, ctx);
-    const image::Image m20 = colMoment(r2, radius, sigma, 0, ctx);
-    const image::Image m02 = colMoment(r0, radius, sigma, 2, ctx);
-    const image::Image m11 = colMoment(r1, radius, sigma, 1, ctx);
 
     BufferPool &bp = ctx.buffers();
     PolyExpansion pe{image::acquireImageUninit(bp, w, h),
@@ -157,28 +136,95 @@ polyExpansion(const image::Image &img, int radius, double sigma,
                      image::acquireImageUninit(bp, w, h),
                      image::acquireImageUninit(bp, w, h),
                      image::acquireImageUninit(bp, w, h)};
+    if (img.empty())
+        return pe;
 
-    // Basis order: {1, dx, dy, dx^2, dy^2, dxdy}.
-    for (int y = 0; y < h; ++y) {
-        for (int x = 0; x < w; ++x) {
-            const std::array<double, 6> m = {
-                m00.at(x, y), m10.at(x, y), m01.at(x, y),
-                m20.at(x, y), m02.at(x, y), m11.at(x, y)};
-            std::array<double, 6> coef{};
-            for (int i = 0; i < 6; ++i) {
-                double acc = 0.0;
-                for (int j = 0; j < 6; ++j)
-                    acc += ginv[i][j] * m[j];
-                coef[i] = acc;
-            }
-            pe.c.at(x, y) = static_cast<float>(coef[0]);
-            pe.bx.at(x, y) = static_cast<float>(coef[1]);
-            pe.by.at(x, y) = static_cast<float>(coef[2]);
-            pe.axx.at(x, y) = static_cast<float>(coef[3]);
-            pe.ayy.at(x, y) = static_cast<float>(coef[4]);
-            pe.axy.at(x, y) = static_cast<float>(coef[5]);
+    // Moment taps w(t) * t^p for p = 0, 1, 2, stored at k[p * taps].
+    // The row and column passes share them (the window is isotropic).
+    auto k = bp.acquire<double>(size_t(3 * taps));
+    for (int p = 0; p < 3; ++p) {
+        for (int t = -radius; t <= radius; ++t) {
+            const double g =
+                std::exp(-(double(t) * t) / (2.0 * sigma * sigma));
+            k[size_t(p * taps + t + radius)] = g * std::pow(double(t), p);
         }
     }
+    const double *k0 = k.data(), *k1 = k0 + taps, *k2 = k1 + taps;
+
+    // Separable moments m(p,q) = col_q(row_p(f)), each a float plane
+    // summed in double, tap by tap from 0.0. Per-chunk scratch (a
+    // padded row, six double rows) is acquired up front so the live
+    // buffer count never depends on thread scheduling.
+    const size_t chunks = size_t(ctx.numThreads());
+    const size_t padded = size_t(w + 2 * radius);
+    auto pads = bp.acquire<float>(chunks * padded);
+    auto accs = bp.acquire<double>(chunks * 6 * size_t(w));
+
+    // The row pass makes the three x-moments r_p from one
+    // clamp-padded copy of each row.
+    image::Image r0 = image::acquireImageUninit(bp, w, h);
+    image::Image r1 = image::acquireImageUninit(bp, w, h);
+    image::Image r2 = image::acquireImageUninit(bp, w, h);
+    ctx.parallelForChunks(0, h, [&](int64_t y0, int64_t y1, int c) {
+        float *pad = pads.data() + size_t(c) * padded;
+        double *a0 = accs.data() + size_t(c) * 6 * size_t(w);
+        double *a1 = a0 + w, *a2 = a1 + w;
+        for (int y = int(y0); y < int(y1); ++y) {
+            image::copyRowClamped(img, y, radius, pad);
+            std::fill(a0, a0 + 3 * w, 0.0);
+            for (int t = 0; t < taps; ++t)
+                rowTaps(a0, a1, a2, pad + t, k0[t], k1[t], k2[t], w);
+            const int64_t row = int64_t(y) * w;
+            for (int x = 0; x < w; ++x) {
+                r0.data()[row + x] = static_cast<float>(a0[x]);
+                r1.data()[row + x] = static_cast<float>(a1[x]);
+                r2.data()[row + x] = static_cast<float>(a2[x]);
+            }
+        }
+    });
+
+    // The column pass makes the six y-moments of each output row,
+    // rounds them to float (the moment planes' precision), and
+    // projects them onto the basis {1, dx, dy, dx^2, dy^2, dxdy}
+    // through G^-1, in the moment order
+    // {m00, m10, m01, m20, m02, m11}.
+    float *out[6] = {pe.c.data(),   pe.bx.data(),  pe.by.data(),
+                     pe.axx.data(), pe.ayy.data(), pe.axy.data()};
+    ctx.parallelForChunks(0, h, [&](int64_t y0, int64_t y1, int c) {
+        double *m00 = accs.data() + size_t(c) * 6 * size_t(w);
+        double *m10 = m00 + w, *m01 = m10 + w;
+        double *m20 = m01 + w, *m02 = m20 + w, *m11 = m02 + w;
+        for (int y = int(y0); y < int(y1); ++y) {
+            std::fill(m00, m00 + 6 * w, 0.0);
+            for (int t = 0; t < taps; ++t) {
+                const int64_t row =
+                    int64_t(clamp(y + t - radius, 0, h - 1)) * w;
+                const float *s0 = r0.data() + row;
+                const float *s1 = r1.data() + row;
+                const float *s2 = r2.data() + row;
+                columnTaps(m00, m10, m01, m20, m02, m11, s0, s1, s2,
+                           k0[t], k1[t], k2[t], w);
+            }
+            // The six rows are contiguous from m00.
+            for (int x = 0; x < 6 * w; ++x)
+                m00[x] = static_cast<float>(m00[x]);
+            const int64_t row = int64_t(y) * w;
+            for (int i = 0; i < 6; ++i) {
+                const auto &g = ginv[size_t(i)];
+                float *dst = out[i] + row;
+                for (int x = 0; x < w; ++x) {
+                    double a = 0.0;
+                    a += g[0] * m00[x];
+                    a += g[1] * m10[x];
+                    a += g[2] * m01[x];
+                    a += g[3] * m20[x];
+                    a += g[4] * m02[x];
+                    a += g[5] * m11[x];
+                    dst[x] = static_cast<float>(a);
+                }
+            }
+        }
+    });
     return pe;
 }
 
@@ -221,21 +267,42 @@ updateFlow(const PolyExpansion &p1, const PolyExpansion &p2,
                 const float xs = clamp(float(x) + du, 0.f, float(w - 1));
                 const float ys = clamp(float(y) + dv, 0.f, float(h - 1));
 
+                // The bilinear footprint of (xs, ys), computed once
+                // for the five p2 samples with Image::sample's exact
+                // weights, clamps and sum order.
+                const int x0 = static_cast<int>(std::floor(xs));
+                const int y0s = static_cast<int>(std::floor(ys));
+                const float fx = xs - x0;
+                const float fy = ys - y0s;
+                const float w00 = (1 - fx) * (1 - fy);
+                const float w10 = fx * (1 - fy);
+                const float w01 = (1 - fx) * fy;
+                const float w11 = fx * fy;
+                const int64_t xa = clamp(x0, 0, w - 1);
+                const int64_t xb = clamp(x0 + 1, 0, w - 1);
+                const int64_t ra = int64_t(clamp(y0s, 0, h - 1)) * w;
+                const int64_t rb = int64_t(clamp(y0s + 1, 0, h - 1)) * w;
+                const auto sample = [&](const image::Image &img) {
+                    const float *d = img.data();
+                    return w00 * d[ra + xa] + w10 * d[ra + xb] +
+                           w01 * d[rb + xa] + w11 * d[rb + xb];
+                };
+
                 // A = (A1(x) + A2(x+d)) / 2, with A =
                 // [[axx, axy/2], [axy/2, ayy]].
                 const double a11 =
-                    0.5 * (p1.axx.at(x, y) + p2.axx.sample(xs, ys));
+                    0.5 * (p1.axx.at(x, y) + sample(p2.axx));
                 const double a22 =
-                    0.5 * (p1.ayy.at(x, y) + p2.ayy.sample(xs, ys));
+                    0.5 * (p1.ayy.at(x, y) + sample(p2.ayy));
                 const double a12 =
-                    0.25 * (p1.axy.at(x, y) + p2.axy.sample(xs, ys));
+                    0.25 * (p1.axy.at(x, y) + sample(p2.axy));
 
                 // db = -(1/2)(b2(x+d) - b1(x)) + A d.
                 const double db1 =
-                    -0.5 * (p2.bx.sample(xs, ys) - p1.bx.at(x, y)) +
+                    -0.5 * (sample(p2.bx) - p1.bx.at(x, y)) +
                     a11 * du + a12 * dv;
                 const double db2 =
-                    -0.5 * (p2.by.sample(xs, ys) - p1.by.at(x, y)) +
+                    -0.5 * (sample(p2.by) - p1.by.at(x, y)) +
                     a12 * du + a22 * dv;
 
                 // Accumulate G = A^T A and h = A^T db.
@@ -272,6 +339,60 @@ updateFlow(const PolyExpansion &p1, const PolyExpansion &p2,
     });
 }
 
+/**
+ * Coarse-to-fine flow from @p f0 to @p f1, which sit @p level levels
+ * below the full-resolution frames of a pyramid @p levels deep. The
+ * coarser levels are made by recursion: each level is a pooled image
+ * held by one stack frame, so no level list is ever allocated.
+ */
+FlowField
+pyramidFlow(const image::Image &f0, const image::Image &f1, int level,
+            int levels, const FarnebackParams &params,
+            const FlowField *init, const ExecContext &ctx)
+{
+    const int w = f0.width(), h = f0.height();
+    FlowField flow;
+    if (level == levels - 1) {
+        if (init) {
+            const float s = 1.f / float(1 << (levels - 1));
+            flow.u = image::resizeBilinear(init->u, w, h, ctx);
+            flow.v = image::resizeBilinear(init->v, w, h, ctx);
+            for (int64_t i = 0; i < flow.u.size(); ++i) {
+                flow.u.data()[i] *= s;
+                flow.v.data()[i] *= s;
+            }
+        } else {
+            // Unseeded flow starts at zero displacement.
+            flow.u = image::acquireImage(ctx.buffers(), w, h);
+            flow.v = image::acquireImage(ctx.buffers(), w, h);
+        }
+    } else {
+        FlowField coarse;
+        {
+            const image::Image c0 = image::downsample2x(f0, ctx);
+            const image::Image c1 = image::downsample2x(f1, ctx);
+            coarse = pyramidFlow(c0, c1, level + 1, levels, params,
+                                 init, ctx);
+        }
+        // Upsample flow from the coarser level and rescale.
+        const float sx = float(w) / coarse.width();
+        flow.u = image::resizeBilinear(coarse.u, w, h, ctx);
+        flow.v = image::resizeBilinear(coarse.v, w, h, ctx);
+        for (int64_t i = 0; i < flow.u.size(); ++i) {
+            flow.u.data()[i] *= sx;
+            flow.v.data()[i] *= sx;
+        }
+    }
+
+    const PolyExpansion p0 =
+        polyExpansion(f0, params.polyRadius, params.polySigma, ctx);
+    const PolyExpansion p1 =
+        polyExpansion(f1, params.polyRadius, params.polySigma, ctx);
+    for (int it = 0; it < params.iterations; ++it)
+        updateFlow(p0, p1, flow, params.blurRadius, ctx);
+    return flow;
+}
+
 } // namespace
 
 FlowField
@@ -285,58 +406,17 @@ farnebackFlow(const image::Image &frame0, const image::Image &frame1,
     panic_if(init && (init->width() != frame0.width() ||
                       init->height() != frame0.height()),
              "init flow size mismatch");
+    panic_if(params.pyramidLevels < 1,
+             "pyramid needs at least one level");
 
-    const auto pyr0 = image::buildPyramid(
-        frame0, params.pyramidLevels, 16, ctx);
-    const auto pyr1 = image::buildPyramid(
-        frame1, params.pyramidLevels, 16, ctx);
-    const int levels = static_cast<int>(pyr0.size());
-
-    const int wc = pyr0[levels - 1].width();
-    const int hc = pyr0[levels - 1].height();
-    FlowField flow;
-    if (init) {
-        const float s = 1.f / float(1 << (levels - 1));
-        flow.u = image::resizeBilinear(init->u, wc, hc, ctx);
-        flow.v = image::resizeBilinear(init->v, wc, hc, ctx);
-        for (int64_t i = 0; i < flow.u.size(); ++i) {
-            flow.u.data()[i] *= s;
-            flow.v.data()[i] *= s;
-        }
-    } else {
-        // Unseeded flow starts at zero displacement.
-        flow.u = image::acquireImage(ctx.buffers(), wc, hc);
-        flow.v = image::acquireImage(ctx.buffers(), wc, hc);
-    }
-
-    for (int level = levels - 1; level >= 0; --level) {
-        const image::Image &f0 = pyr0[level];
-        const image::Image &f1 = pyr1[level];
-
-        if (level != levels - 1) {
-            // Upsample flow from the coarser level and rescale.
-            const float sx = float(f0.width()) / flow.width();
-            FlowField up;
-            up.u = image::resizeBilinear(flow.u, f0.width(),
-                                         f0.height(), ctx);
-            up.v = image::resizeBilinear(flow.v, f0.width(),
-                                         f0.height(), ctx);
-            for (int64_t i = 0; i < up.u.size(); ++i) {
-                up.u.data()[i] *= sx;
-                up.v.data()[i] *= sx;
-            }
-            flow = std::move(up);
-        }
-
-        const PolyExpansion p0 = polyExpansion(
-            f0, params.polyRadius, params.polySigma, ctx);
-        const PolyExpansion p1 = polyExpansion(
-            f1, params.polyRadius, params.polySigma, ctx);
-
-        for (int it = 0; it < params.iterations; ++it)
-            updateFlow(p0, p1, flow, params.blurRadius, ctx);
-    }
-    return flow;
+    // The depth image::buildPyramid(frame, pyramidLevels, 16) would
+    // reach: halve while both sides stay at least 16 pixels.
+    int levels = 1;
+    for (int w = frame0.width(), h = frame0.height();
+         levels < params.pyramidLevels && w / 2 >= 16 && h / 2 >= 16;
+         w /= 2, h /= 2)
+        ++levels;
+    return pyramidFlow(frame0, frame1, 0, levels, params, init, ctx);
 }
 
 FlowField

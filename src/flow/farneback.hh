@@ -55,14 +55,18 @@ struct FarnebackParams
 };
 
 /**
- * Compute the quadratic polynomial expansion of @p img. The moment
+ * Compute the quadratic polynomial expansion of @p img in two
+ * row-parallel separable passes on @p ctx's pool: the three
+ * x-moments, then the six y-moments projected onto the basis. The
  * intermediates and the six coefficient planes are drawn from
  * @p ctx's buffer pool, so a warm expansion allocates nothing.
+ * Results are bit-identical for any worker count.
  *
  * @param img    input frame
  * @param radius neighborhood radius (window is (2r+1)^2)
  * @param sigma  Gaussian applicability sigma
- * @param ctx    execution context supplying the buffer pool
+ * @param ctx    pool the rows are partitioned across, and the arena
+ *               the planes come from
  */
 PolyExpansion polyExpansion(const image::Image &img, int radius,
                             double sigma, const ExecContext &ctx);
@@ -72,9 +76,11 @@ PolyExpansion polyExpansion(const image::Image &img, int radius,
                             double sigma);
 
 /**
- * Estimate dense flow from @p frame0 to @p frame1. The convolutional
- * stages (pyramid anti-alias blur, flow upsampling, the aggregation
- * blurs of each iteration) fan out on @p ctx's pool; results are
+ * Estimate dense flow from @p frame0 to @p frame1. Every stage
+ * (pyramid anti-alias blur, polynomial expansion, matrix update,
+ * the aggregation blurs of each iteration, compute flow, flow
+ * upsampling) fans out on @p ctx's pool and draws its buffers from
+ * @p ctx's arena, so a warm call allocates nothing; results are
  * bit-identical for any worker count.
  *
  * @param frame0 source frame

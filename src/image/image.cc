@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "common/math_util.hh"
 
 namespace asv::image
 {
@@ -46,29 +45,6 @@ Image::Image(int width, int height, float value)
     : Image(width, height)
 {
     fill(value);
-}
-
-float
-Image::atClamped(int x, int y) const
-{
-    x = clamp(x, 0, width_ - 1);
-    y = clamp(y, 0, height_ - 1);
-    return at(x, y);
-}
-
-float
-Image::sample(float x, float y) const
-{
-    const int x0 = static_cast<int>(std::floor(x));
-    const int y0 = static_cast<int>(std::floor(y));
-    const float fx = x - x0;
-    const float fy = y - y0;
-    const float v00 = atClamped(x0, y0);
-    const float v10 = atClamped(x0 + 1, y0);
-    const float v01 = atClamped(x0, y0 + 1);
-    const float v11 = atClamped(x0 + 1, y0 + 1);
-    return (1 - fx) * (1 - fy) * v00 + fx * (1 - fy) * v10 +
-           (1 - fx) * fy * v01 + fx * fy * v11;
 }
 
 void

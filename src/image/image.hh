@@ -22,12 +22,14 @@
 #ifndef ASV_IMAGE_IMAGE_HH
 #define ASV_IMAGE_IMAGE_HH
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/buffer_pool.hh"
+#include "common/math_util.hh"
 
 namespace asv::image
 {
@@ -127,10 +129,29 @@ class Image
     }
 
     /** Read with border clamping (replicate edge pixels). */
-    float atClamped(int x, int y) const;
+    float
+    atClamped(int x, int y) const
+    {
+        x = clamp(x, 0, width_ - 1);
+        y = clamp(y, 0, height_ - 1);
+        return at(x, y);
+    }
 
     /** Bilinear sample at real coordinates, border clamped. */
-    float sample(float x, float y) const;
+    float
+    sample(float x, float y) const
+    {
+        const int x0 = static_cast<int>(std::floor(x));
+        const int y0 = static_cast<int>(std::floor(y));
+        const float fx = x - x0;
+        const float fy = y - y0;
+        const float v00 = atClamped(x0, y0);
+        const float v10 = atClamped(x0 + 1, y0);
+        const float v01 = atClamped(x0, y0 + 1);
+        const float v11 = atClamped(x0 + 1, y0 + 1);
+        return (1 - fx) * (1 - fy) * v00 + fx * (1 - fy) * v10 +
+               (1 - fx) * fy * v01 + fx * fy * v11;
+    }
 
     float *data() { return data_.data(); }
     const float *data() const { return data_.data(); }

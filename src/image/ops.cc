@@ -42,43 +42,91 @@ gaussianKernel1d(int radius, double sigma)
     return k;
 }
 
+void
+copyRowClamped(const Image &src, int y, int radius, float *dst)
+{
+    const int w = src.width();
+    const float *row = src.data() + int64_t(y) * w;
+    std::fill(dst, dst + radius, row[0]);
+    std::copy(row, row + w, dst + radius);
+    std::fill(dst + radius + w, dst + w + 2 * radius, row[w - 1]);
+}
+
+namespace
+{
+
+/**
+ * acc[x] += k * v[x] over one row: the float product, widened, into
+ * the double accumulator — the exact term the per-pixel tap loop
+ * adds, so tap-outer order changes nothing but the loop nest.
+ */
+void
+accumulateTap(double *acc, float k, const float *v, int n)
+{
+    for (int x = 0; x < n; ++x)
+        acc[x] += k * v[x];
+}
+
+void
+storeRow(const double *acc, float *dst, int n)
+{
+    for (int x = 0; x < n; ++x)
+        dst[x] = static_cast<float>(acc[x]);
+}
+
+} // namespace
+
 Image
 gaussianBlur(const Image &src, int radius, double sigma,
              const ExecContext &ctx)
 {
-    if (radius == 0)
+    if (radius == 0 || src.empty())
         return src;
-    auto k = ctx.buffers().acquire<float>(size_t(2 * radius + 1));
+    const int taps = 2 * radius + 1;
+    auto k = ctx.buffers().acquire<float>(size_t(taps));
     fillGaussianKernel1d(k.data(), radius, sigma);
     const int w = src.width(), h = src.height();
 
     // Both passes write every pixel of their target, so the pooled
-    // acquisitions skip the clear.
+    // acquisitions skip the clear. Each row chunk accumulates tap by
+    // tap into its own double row, starting from 0.0 like the
+    // per-pixel sum, so every pixel adds the same products in the
+    // same order for any worker count. The chunk rows are acquired
+    // up front: acquiring inside the workers would make the number
+    // of live same-shape buffers (and with it the steady-state pool
+    // miss count) depend on thread scheduling.
     Image tmp = acquireImageUninit(ctx.buffers(), w, h);
     Image dst = acquireImageUninit(ctx.buffers(), w, h);
-    // Horizontal pass: rows are independent and each writes a
-    // disjoint slice of tmp.
-    ctx.parallelFor(0, h, [&](int64_t y0, int64_t y1) {
+    const size_t chunks = size_t(ctx.numThreads());
+    const size_t padded = size_t(w + 2 * radius);
+    auto pads = ctx.buffers().acquire<float>(chunks * padded);
+    auto accs = ctx.buffers().acquire<double>(chunks * size_t(w));
+    // Horizontal pass: one clamp-padded copy per row replaces the
+    // per-tap border clamps.
+    ctx.parallelForChunks(0, h, [&](int64_t y0, int64_t y1, int c) {
+        float *pad = pads.data() + size_t(c) * padded;
+        double *acc = accs.data() + size_t(c) * size_t(w);
         for (int y = int(y0); y < int(y1); ++y) {
-            for (int x = 0; x < w; ++x) {
-                double acc = 0.0;
-                for (int i = -radius; i <= radius; ++i)
-                    acc += k[i + radius] * src.atClamped(x + i, y);
-                tmp.at(x, y) = static_cast<float>(acc);
-            }
+            copyRowClamped(src, y, radius, pad);
+            std::fill(acc, acc + w, 0.0);
+            for (int t = 0; t < taps; ++t)
+                accumulateTap(acc, k[t], pad + t, w);
+            storeRow(acc, tmp.data() + int64_t(y) * w, w);
         }
     });
     // Vertical pass: reads cross row chunks, but tmp is complete
     // (the horizontal pass barriers) and each row writes only its
-    // own slice of dst.
-    ctx.parallelFor(0, h, [&](int64_t y0, int64_t y1) {
+    // own slice of dst. The clamp picks whole source rows.
+    ctx.parallelForChunks(0, h, [&](int64_t y0, int64_t y1, int c) {
+        double *acc = accs.data() + size_t(c) * size_t(w);
         for (int y = int(y0); y < int(y1); ++y) {
-            for (int x = 0; x < w; ++x) {
-                double acc = 0.0;
-                for (int i = -radius; i <= radius; ++i)
-                    acc += k[i + radius] * tmp.atClamped(x, y + i);
-                dst.at(x, y) = static_cast<float>(acc);
+            std::fill(acc, acc + w, 0.0);
+            for (int t = 0; t < taps; ++t) {
+                const int ys = clamp(y + t - radius, 0, h - 1);
+                accumulateTap(acc, k[t], tmp.data() + int64_t(ys) * w,
+                              w);
             }
+            storeRow(acc, dst.data() + int64_t(y) * w, w);
         }
     });
     return dst;
@@ -134,9 +182,12 @@ downsample2x(const Image &src, const ExecContext &ctx)
     const int w = std::max(1, src.width() / 2);
     const int h = std::max(1, src.height() / 2);
     Image dst = acquireImageUninit(ctx.buffers(), w, h);
-    for (int y = 0; y < h; ++y)
-        for (int x = 0; x < w; ++x)
-            dst.at(x, y) = blurred.atClamped(2 * x, 2 * y);
+    // Output rows are independent.
+    ctx.parallelFor(0, h, [&](int64_t y0, int64_t y1) {
+        for (int y = int(y0); y < int(y1); ++y)
+            for (int x = 0; x < w; ++x)
+                dst.at(x, y) = blurred.atClamped(2 * x, 2 * y);
+    });
     return dst;
 }
 

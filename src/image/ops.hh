@@ -27,9 +27,10 @@ std::vector<float> gaussianKernel1d(int radius, double sigma);
 
 /**
  * Separable Gaussian blur with replicate borders. Both passes are
- * partitioned by row across @p ctx's pool; each output pixel is
- * computed with the exact serial reduction, so results are
- * bit-identical for any worker count.
+ * partitioned by row across @p ctx's pool and accumulate tap by tap
+ * into double rows; each output pixel adds the same products in the
+ * same order as the per-pixel reduction, so results are
+ * bit-identical to it for any worker count.
  *
  * @param src    input image
  * @param radius kernel radius (kernel size 2*radius+1)
@@ -44,6 +45,15 @@ Image gaussianBlur(const Image &src, int radius, double sigma = -1.0);
 
 /** Arithmetic op count of gaussianBlur on a w x h image. */
 int64_t gaussianBlurOps(int width, int height, int radius);
+
+/**
+ * Copy row @p y of @p src into dst[0, width + 2 * radius), replicating
+ * the edge pixels into the @p radius-wide margins: dst[radius + i] ==
+ * src.atClamped(i, y) for every i in [-radius, width + radius). The
+ * row filters read their clamped taps from this buffer. @p src must
+ * be non-empty.
+ */
+void copyRowClamped(const Image &src, int y, int radius, float *dst);
 
 /**
  * Bilinear resize to the exact target size, partitioned by output

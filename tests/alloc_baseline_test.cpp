@@ -6,7 +6,8 @@
  * one warm compute() of each registry engine performs (BM, SGM, and
  * the guided refiner on its guided path), plus one warm
  * dnn::NetworkRuntime::forward() frame of a conv+deconv network, and
- * diffs the counts against the committed BASELINE_alloc.json.
+ * diffs the counts against the committed BASELINE_alloc.json. A warm
+ * IsmPipeline non-key frame is held to the same exact zero directly.
  *
  * With the BufferPool arena in place the contract is *exact*: a
  * pooled engine (baseline allocsPerFrame == 0) must perform zero
@@ -30,12 +31,15 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/exec_context.hh"
 #include "common/thread_pool.hh"
+#include "core/ism.hh"
+#include "core/sequencer.hh"
 #include "data/scene.hh"
 #include "debug/alloc_tracker.hh"
 #include "dnn/network.hh"
@@ -328,6 +332,43 @@ TEST_F(AllocBaseline, HotLoopAllocationWouldFailTheGate)
     // that the previous test's PASS is not vacuous).
     EngineBaseline honest = baseline.at("sgm");
     EXPECT_TRUE(withinBand(honest, baseline.at("sgm")));
+}
+
+TEST_F(AllocBaseline, WarmIsmNonKeyFrameAllocatesNothing)
+{
+    // A non-key frame — two Farnebäck flows (pyramid, expansions,
+    // normal-equation blurs), the propagation scatter and the guided
+    // refine — draws every buffer from the pipeline's arena, so once
+    // warm it performs exactly zero heap allocations.
+    data::SceneConfig cfg;
+    cfg.width = 96;
+    cfg.height = 64;
+    cfg.numObjects = 3;
+    cfg.maxDisparity = 20.f;
+    const data::StereoSequence seq = data::generateSequence(cfg, 8, 5);
+    const core::IsmParams params; // PW 4, flow at half resolution
+    core::IsmPipeline ism(
+        params, stereo::makeMatcher("sgm", "maxDisparity=32"),
+        core::makeStaticSequencer(params.propagationWindow),
+        std::make_shared<ThreadPool>(2));
+
+    // Two key/non-key cycles populate the arena.
+    for (const auto &f : seq.frames)
+        (void)ism.processFrame(f.left, f.right);
+
+    (void)ism.processFrame(seq.frames[0].left, seq.frames[0].right);
+    for (int i = 1; i < params.propagationWindow; ++i) {
+        const auto &f = seq.frames[size_t(i)];
+        uint64_t allocs = 0;
+        bool key = true;
+        {
+            debug::AllocScope scope;
+            key = ism.processFrame(f.left, f.right).keyFrame;
+            allocs = scope.counts().allocs;
+        }
+        ASSERT_FALSE(key) << "frame " << i;
+        EXPECT_EQ(0u, allocs) << "non-key frame " << i;
+    }
 }
 
 } // namespace
