@@ -6,13 +6,15 @@
  * (a) the deconvolution layers alone and (b) the entire network,
  * for the four stereo DNNs.
  *
- * Two kinds of datapoint land in BENCH_kernels.json:
- *  - BM_Fig11DeconvReference: real wall time of the zero-insertion
- *    reference deconvolution on a representative DispNet refinement
+ * Two kinds of datapoint land in BENCH_kernels.json, one instance
+ * of each per supported SIMD level, so both bars of a pair run the
+ * f32 GEMM route at the same level:
+ *  - BM_Fig11DeconvReference/<isa>: real wall time of the
+ *    zero-insertion reference deconvolution (a dense convolution of
+ *    the upsampled ifmap) on a representative DispNet refinement
  *    layer (k4 s2 p1, C=64 -> K=32) — the measured "baseline" bar;
  *  - BM_Fig11DeconvTransformed/<isa>: the same layer through the
- *    Sec. 4.1 transformation on the dispatched f32 GEMM route, one
- *    instance per supported SIMD level. The analytic Fig. 11
+ *    Sec. 4.1 transformation. The analytic Fig. 11
  *    averages from the cycle-level simulator ride along as counters
  *    (sim_*), so the measured and simulated speedups sit side by
  *    side in one JSON record.
@@ -174,8 +176,9 @@ class LevelGuard
 constexpr int64_t kIn = 24;
 
 void
-BM_Fig11DeconvReference(benchmark::State &state)
+BM_Fig11DeconvReference(benchmark::State &state, simd::Level level)
 {
+    LevelGuard guard(level);
     Tensor in = randomTensor({64, kIn, kIn}, 1);
     Tensor w = randomTensor({32, 64, 4, 4}, 2);
     const DeconvSpec spec = DeconvSpec::uniform(2, 2, 1);
@@ -221,14 +224,16 @@ main(int argc, char **argv)
             return 0;
         }
     }
-    benchmark::RegisterBenchmark("BM_Fig11DeconvReference",
-                                 BM_Fig11DeconvReference);
     for (asv::simd::Level level :
          {asv::simd::Level::Scalar, asv::simd::Level::Sse42,
           asv::simd::Level::Avx2, asv::simd::Level::Neon}) {
         if (!asv::simd::levelSupported(level))
             continue;
         const std::string suffix = asv::simd::levelName(level);
+        benchmark::RegisterBenchmark(
+            ("BM_Fig11DeconvReference/" + suffix).c_str(),
+            BM_Fig11DeconvReference, level)
+            ->UseRealTime();
         benchmark::RegisterBenchmark(
             ("BM_Fig11DeconvTransformed/" + suffix).c_str(),
             BM_Fig11DeconvTransformed, level)

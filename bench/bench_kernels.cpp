@@ -1,16 +1,14 @@
 /**
  * @file
- * google-benchmark microbenchmarks of the functional kernels: the
- * reference deconvolution vs the transformed execution (the wall
- * clock counterpart of the op-count savings), Farnebäck flow (also
- * at ISM's 160x120 flow shape) and its polynomial expansion, block
- * matching and SGM — the streaming engine, its 4-path variant, and
- * the materialized test oracle (tests/reference/), each reporting
- * its peak resident arena bytes — plus a per-SIMD-level sweep of the
- * census,
- * Hamming cost-volume, SGM aggregation-row, and fused cost-row
- * kernels, and of the f32 DNN route (BM_ConvGemm / BM_Deconv: im2col
- * + gemmRow with the fused bias+ReLU epilogue) — the vector-vs-scalar
+ * google-benchmark microbenchmarks of the functional kernels:
+ * Farnebäck flow (also at ISM's 160x120 flow shape) and its
+ * polynomial expansion, block matching and SGM — the streaming
+ * engine, its 4-path variant, and the materialized test oracle
+ * (tests/reference/), each reporting its peak resident arena bytes —
+ * plus a per-SIMD-level sweep of the census, Hamming cost-volume,
+ * SGM aggregation-row, and fused cost-row kernels, and of the f32 DNN
+ * route (BM_ConvGemm / BM_Deconv: im2col
+ * + gemmTile with the fused bias+ReLU epilogue) — the vector-vs-scalar
  * datapoints tracked in BENCH_kernels.json. The benchmark context
  * records the dispatched ISA (asv_simd) so trajectory comparisons
  * across hosts stay meaningful.
@@ -56,33 +54,6 @@ randomTensor(Shape shape, uint64_t seed)
         v = float(rng.uniformReal(-1, 1));
     return t;
 }
-
-void
-BM_DeconvReference(benchmark::State &state)
-{
-    const int64_t n = state.range(0);
-    Tensor in = randomTensor({8, n, n}, 1);
-    Tensor w = randomTensor({8, 8, 4, 4}, 2);
-    const DeconvSpec spec = DeconvSpec::uniform(2, 2, 1);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(tensor::deconvNd(in, w, spec));
-    state.SetItemsProcessed(state.iterations() * n * n);
-}
-BENCHMARK(BM_DeconvReference)->Arg(16)->Arg(32);
-
-void
-BM_DeconvTransformed(benchmark::State &state)
-{
-    const int64_t n = state.range(0);
-    Tensor in = randomTensor({8, n, n}, 1);
-    Tensor w = randomTensor({8, 8, 4, 4}, 2);
-    const DeconvSpec spec = DeconvSpec::uniform(2, 2, 1);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            deconv::transformedDeconv(in, w, spec));
-    state.SetItemsProcessed(state.iterations() * n * n);
-}
-BENCHMARK(BM_DeconvTransformed)->Arg(16)->Arg(32);
 
 void
 BM_FarnebackFlow(benchmark::State &state)
@@ -380,19 +351,37 @@ BM_AggregateRow(benchmark::State &state, simd::Level level)
     state.SetItemsProcessed(state.iterations() * (w - 1) * nd);
 }
 
-void
-BM_ConvGemm(benchmark::State &state, simd::Level level)
+/** A DispNet-shaped 3x3 stride-1 pad-1 convolution layer. */
+struct ConvGemmShape
 {
-    // The DNN-path f32 route: 3x3 convolution over a representative
-    // DispNet refinement shape (C=64 -> K=32 on a 32² ifmap),
-    // lowered to im2col + the dispatched gemmRow kernel with the
-    // bias+ReLU epilogue fused. The ≥3x AVX2-vs-scalar acceptance
-    // datapoint tracked in BENCH_kernels.json.
+    const char *name;
+    int64_t c, k, h, w;
+};
+
+// The ≥3x AVX2-vs-scalar acceptance datapoint tracked in
+// BENCH_kernels.json (C=64 -> K=32 on a 32² ifmap), then three
+// layers of the perfbench dnn_dispnet chain at 96x312: conv5b (P=30
+// columns, one 24-wide register block plus a masked tail), iconv1
+// (the wide 32-channel refinement layer, P=7488) and the pr1 head
+// (K=1: one filter tile, parallel over column panels only).
+constexpr ConvGemmShape kConvGemmShapes[] = {
+    {"32", 64, 32, 32, 32},
+    {"conv5b", 512, 512, 3, 10},
+    {"iconv1", 32, 32, 48, 156},
+    {"pr1", 32, 1, 48, 156},
+};
+
+void
+BM_ConvGemm(benchmark::State &state, simd::Level level,
+            ConvGemmShape shape)
+{
+    // The DNN-path f32 route: a 3x3 convolution lowered to im2col +
+    // the dispatched gemmTile kernel with the bias+ReLU epilogue
+    // fused.
     LevelGuard guard(level);
-    const int64_t n = state.range(0);
-    Tensor in = randomTensor({64, n, n}, 12);
-    Tensor w = randomTensor({32, 64, 3, 3}, 13);
-    std::vector<float> bias(32, 0.1f);
+    Tensor in = randomTensor({shape.c, shape.h, shape.w}, 12);
+    Tensor w = randomTensor({shape.k, shape.c, 3, 3}, 13);
+    std::vector<float> bias(size_t(shape.k), 0.1f);
     const tensor::ConvSpec spec = tensor::ConvSpec::uniform(2, 1, 1);
     tensor::ConvEpilogue epi;
     epi.bias = bias.data();
@@ -402,7 +391,8 @@ BM_ConvGemm(benchmark::State &state, simd::Level level)
     for (auto _ : state)
         benchmark::DoNotOptimize(
             tensor::convNd(in, w, spec, epi, nullptr, ctx));
-    state.SetItemsProcessed(state.iterations() * 64 * 32 * 9 * n * n);
+    state.SetItemsProcessed(state.iterations() * shape.c * shape.k * 9 *
+                            shape.h * shape.w);
 }
 
 void
@@ -410,9 +400,9 @@ BM_Deconv(benchmark::State &state, simd::Level level)
 {
     // The paper's deconvolution proper, per ISA: transformed k4 s2 p1
     // (DispNet/FlowNetS refinement layer, C=64 -> K=32), sub-convs on
-    // the f32 GEMM route with the epilogue fused. Contrast with the
-    // level-independent BM_DeconvReference/BM_DeconvTransformed pair
-    // above, which measures the transformation itself.
+    // the f32 GEMM route with the epilogue fused. BM_Fig11Deconv*
+    // (bench_fig11_deconv_breakdown) sets it against the
+    // zero-insertion reference at the same level.
     LevelGuard guard(level);
     const int64_t n = state.range(0);
     Tensor in = randomTensor({64, n, n}, 14);
@@ -485,10 +475,11 @@ main(int argc, char **argv)
             ("BM_FusedCostRow/" + suffix).c_str(), BM_FusedCostRow,
             level)
             ->Arg(64);
-        benchmark::RegisterBenchmark(
-            ("BM_ConvGemm/" + suffix).c_str(), BM_ConvGemm, level)
-            ->Arg(32)
-            ->UseRealTime();
+        for (const ConvGemmShape &shape : kConvGemmShapes)
+            benchmark::RegisterBenchmark(
+                ("BM_ConvGemm/" + suffix + "/" + shape.name).c_str(),
+                BM_ConvGemm, level, shape)
+                ->UseRealTime();
         benchmark::RegisterBenchmark(
             ("BM_Deconv/" + suffix).c_str(), BM_Deconv, level)
             ->Arg(16)

@@ -6,7 +6,7 @@
  * The inner loops that dominate classical stereo — census
  * bit-packing, XOR+popcount Hamming cost rows, SAD accumulation for
  * block matching, and the semi-global aggregation recurrence — plus
- * the f32 GEMM row and bias+ReLU epilogue behind the deconv/DNN path
+ * the f32 GEMM tile and bias+ReLU epilogue behind the deconv/DNN path
  * carry 8-32x of data-level parallelism that scalar per-pixel loops
  * leave on the table. This layer exposes them as a table of function
  * pointers (`Kernels`) with one implementation per ISA, selected once
@@ -34,7 +34,7 @@
  * arithmetic provably reproduces the scalar clamped-uint32 order
  * (see AggregateRowFn); the fused pixel-major cost row (CostRowFn,
  * feeding the streaming SGM without a resident volume) is again pure
- * integer arithmetic. The f32 GEMM row (GemmRowFn) extends the
+ * integer arithmetic. The f32 GEMM tile (GemmTileFn) extends the
  * discipline to floating point where the hardware allows: the
  * reference accumulates with std::fmaf, so fused lanes (AVX2+FMA,
  * NEON) replay it bit-exactly, while the one mul-then-add lane
@@ -154,22 +154,35 @@ using AggregateRowFn = uint16_t (*)(const uint16_t *cost,
 using CostRowFn = void (*)(const uint64_t *cl, const uint64_t *cr,
                            int w, int nd, uint16_t *out);
 
+/** Most output rows (filters) one GemmTileFn call computes. */
+constexpr int kGemmTileRows = 4;
+
 /**
- * One f32 GEMM output row — the DNN-path microkernel behind
- * convNd / transformedDeconv / dnn::NetworkRuntime. Computes
+ * One f32 GEMM tile — the DNN-path microkernel behind convNd /
+ * transformedDeconv / dnn::NetworkRuntime. For an m x k row-major
+ * left operand A (leading dimension @p lda, m <= kGemmTileRows) and
+ * a k x n row-major right operand B (leading dimension @p ldb),
+ * computes
  *
- *   for j in [0, n):
- *     acc = +0.0f
+ *   for r in [0, m), j in [0, n):
+ *     acc = accumulate ? out[r * ldo + j] : +0.0f
  *     for i in [0, k):        // ascending
- *       acc = fma(a[i], b[i * ldb + j], acc)
- *     out[j] = acc
+ *       acc = fma(a[r * lda + i], b[i * ldb + j], acc)
+ *     out[r * ldo + j] = acc
  *
- * i.e. out[0..n) = a[0..k) * B where B is a row-major k x n matrix
- * with leading dimension @p ldb. The kernel *writes* (does not
- * accumulate into) @p out, so pooled output buffers need no
- * pre-zeroing. Vector lanes broadcast a[i] and vectorize across j —
- * no horizontal reductions — so each lane replays the scalar
- * per-output accumulation order.
+ * With @p accumulate false the kernel *writes* @p out (its prior
+ * contents are never read), so pooled output buffers need no
+ * pre-zeroing. With @p accumulate true it continues the chain from
+ * the float already in @p out: splitting a reduction into k-blocks,
+ * the first written and the rest accumulated, is bit-identical to
+ * one unbroken chain, because the stored partial is exactly the
+ * value the unbroken chain holds at that step.
+ *
+ * Vector lanes broadcast a[r * lda + i] and vectorize across j — no
+ * horizontal reductions — so each lane replays the scalar
+ * per-output accumulation order. Column tails use masked or partial
+ * vector loads and stores under the same per-step arithmetic as the
+ * full vectors.
  *
  * Accuracy contract: the reference uses std::fmaf (one rounding per
  * step). Tables with `fusedF32 == true` (scalar, AVX2 built with FMA,
@@ -179,8 +192,9 @@ using CostRowFn = void (*)(const uint64_t *cl, const uint64_t *cr,
  * may differ between a software fmaf and hardware FMA; NaN *positions*
  * always propagate identically. See docs/KERNELS.md.
  */
-using GemmRowFn = void (*)(const float *a, int k, const float *b,
-                           int64_t ldb, float *out, int n);
+using GemmTileFn = void (*)(const float *a, int64_t lda, int m, int k,
+                            const float *b, int64_t ldb, float *out,
+                            int64_t ldo, int n, bool accumulate);
 
 /**
  * Fused bias + optional ReLU epilogue applied in place to one output
@@ -203,10 +217,10 @@ struct Kernels
     SadSpanFn sadSpan;
     AggregateRowFn aggregateRow;
     CostRowFn costRow;
-    GemmRowFn gemmRow;
+    GemmTileFn gemmTile;
     BiasReluRowFn biasReluRow;
     /**
-     * True when gemmRow replays the scalar std::fmaf chain bit-exactly
+     * True when gemmTile replays the scalar std::fmaf chain bit-exactly
      * (single rounding per multiply-add). False for mul-then-add
      * lanes, which are covered by the documented tolerance contract
      * instead (docs/KERNELS.md).

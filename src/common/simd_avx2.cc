@@ -3,9 +3,10 @@
  * AVX2 kernel table: 8-wide census bit-packing, popcount-by-nibble
  * (PSHUFB lookup + SAD reduction) Hamming rows over 4x64-bit lanes,
  * 8-wide (two 4-lane double accumulators) SAD spans, 16-lane
- * saturating-uint16 SGM aggregation rows, and the 8-lane FMA f32
- * GEMM row + bias/ReLU epilogue for the DNN path (bit-identical to
- * the scalar std::fmaf reference when built with FMA).
+ * saturating-uint16 SGM aggregation rows, and the 4 x 24 register-
+ * blocked FMA f32 GEMM tile + bias/ReLU epilogue for the DNN path
+ * (bit-identical to the scalar std::fmaf reference when built with
+ * FMA).
  *
  * Compiled with -mavx2 -mfma -mpopcnt (see CMakeLists); degrades to
  * a nullptr getter without AVX2.
@@ -286,53 +287,115 @@ gemmStep(__m256 acc, __m256 av, __m256 bv)
 constexpr bool kAvx2GemmFused = false;
 #endif
 
+/**
+ * Columns [0, 8 * NV) of an M-row GEMM tile: M * NV 8-lane
+ * accumulators, each B vector loaded once per M FMAs. With Masked,
+ * the last vector covers only the lanes set in @p mask — masked
+ * loads read +0 there without touching memory, masked stores leave
+ * it alone — so the column tail runs the same per-lane chain as the
+ * full vectors.
+ */
+template <int M, int NV, bool Masked>
+inline void
+gemmBlockAvx2(const float *a, int64_t lda, int k, const float *b,
+              int64_t ldb, float *out, int64_t ldo, bool accumulate,
+              __m256i mask)
+{
+    const auto load = [mask](const float *p, int v) {
+        if (Masked && v == NV - 1)
+            return _mm256_maskload_ps(p, mask);
+        return _mm256_loadu_ps(p);
+    };
+    __m256 acc[M][NV];
+#pragma GCC unroll 4
+    for (int r = 0; r < M; ++r)
+#pragma GCC unroll 3
+        for (int v = 0; v < NV; ++v)
+            acc[r][v] = accumulate ? load(out + r * ldo + 8 * v, v)
+                                   : _mm256_setzero_ps();
+    for (int i = 0; i < k; ++i) {
+        const float *bi = b + i * ldb;
+        __m256 bv[NV];
+#pragma GCC unroll 3
+        for (int v = 0; v < NV; ++v)
+            bv[v] = load(bi + 8 * v, v);
+#pragma GCC unroll 4
+        for (int r = 0; r < M; ++r) {
+            const __m256 av = _mm256_broadcast_ss(a + r * lda + i);
+#pragma GCC unroll 3
+            for (int v = 0; v < NV; ++v)
+                acc[r][v] = gemmStep(acc[r][v], av, bv[v]);
+        }
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < M; ++r) {
+#pragma GCC unroll 3
+        for (int v = 0; v < NV; ++v) {
+            float *p = out + r * ldo + 8 * v;
+            if (Masked && v == NV - 1)
+                _mm256_maskstore_ps(p, mask, acc[r][v]);
+            else
+                _mm256_storeu_ps(p, acc[r][v]);
+        }
+    }
+}
+
+/** An M-row tile: 4 x 24 register blocks (12 accumulators plus 3 B
+ *  vectors and a broadcast fill the 16 ymm registers), then one
+ *  masked block of up to 23 tail columns. */
+template <int M>
 void
-gemmRowAvx2(const float *a, int k, const float *b, int64_t ldb,
-            float *out, int n)
+gemmRowsAvx2(const float *a, int64_t lda, int k, const float *b,
+             int64_t ldb, float *out, int64_t ldo, int n,
+             bool accumulate)
 {
     int j = 0;
-    // 32 outputs per iteration: four 8-lane accumulators hide the
-    // 4-cycle FMA latency behind independent chains while a[i] is
-    // broadcast once. Each lane j still folds i ascending from +0 —
-    // the scalar accumulation order, replayed per output.
-    for (; j + 32 <= n; j += 32) {
-        __m256 acc0 = _mm256_setzero_ps();
-        __m256 acc1 = _mm256_setzero_ps();
-        __m256 acc2 = _mm256_setzero_ps();
-        __m256 acc3 = _mm256_setzero_ps();
-        const float *bj = b + j;
-        for (int i = 0; i < k; ++i) {
-            const __m256 av = _mm256_broadcast_ss(a + i);
-            const float *bi = bj + int64_t(i) * ldb;
-            acc0 = gemmStep(acc0, av, _mm256_loadu_ps(bi));
-            acc1 = gemmStep(acc1, av, _mm256_loadu_ps(bi + 8));
-            acc2 = gemmStep(acc2, av, _mm256_loadu_ps(bi + 16));
-            acc3 = gemmStep(acc3, av, _mm256_loadu_ps(bi + 24));
-        }
-        _mm256_storeu_ps(out + j, acc0);
-        _mm256_storeu_ps(out + j + 8, acc1);
-        _mm256_storeu_ps(out + j + 16, acc2);
-        _mm256_storeu_ps(out + j + 24, acc3);
+    for (; j + 24 <= n; j += 24)
+        gemmBlockAvx2<M, 3, false>(a, lda, k, b + j, ldb, out + j,
+                                   ldo, accumulate, __m256i{});
+    const int rem = n - j;
+    if (rem == 0)
+        return;
+    const int lanes = rem % 8 != 0 ? rem % 8 : 8;
+    const __m256i mask =
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(lanes),
+                           _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    switch ((rem + 7) / 8) {
+      case 1:
+        gemmBlockAvx2<M, 1, true>(a, lda, k, b + j, ldb, out + j, ldo,
+                                  accumulate, mask);
+        break;
+      case 2:
+        gemmBlockAvx2<M, 2, true>(a, lda, k, b + j, ldb, out + j, ldo,
+                                  accumulate, mask);
+        break;
+      default:
+        gemmBlockAvx2<M, 3, true>(a, lda, k, b + j, ldb, out + j, ldo,
+                                  accumulate, mask);
+        break;
     }
-    for (; j + 8 <= n; j += 8) {
-        __m256 acc = _mm256_setzero_ps();
-        const float *bj = b + j;
-        for (int i = 0; i < k; ++i)
-            acc = gemmStep(acc, _mm256_broadcast_ss(a + i),
-                           _mm256_loadu_ps(bj + int64_t(i) * ldb));
-        _mm256_storeu_ps(out + j, acc);
+}
+
+void
+gemmTileAvx2(const float *a, int64_t lda, int m, int k, const float *b,
+             int64_t ldb, float *out, int64_t ldo, int n,
+             bool accumulate)
+{
+    switch (m) {
+      case 1:
+        gemmRowsAvx2<1>(a, lda, k, b, ldb, out, ldo, n, accumulate);
+        break;
+      case 2:
+        gemmRowsAvx2<2>(a, lda, k, b, ldb, out, ldo, n, accumulate);
+        break;
+      case 3:
+        gemmRowsAvx2<3>(a, lda, k, b, ldb, out, ldo, n, accumulate);
+        break;
+      default:
+        static_assert(kGemmTileRows == 4);
+        gemmRowsAvx2<4>(a, lda, k, b, ldb, out, ldo, n, accumulate);
+        break;
     }
-#if defined(__FMA__)
-    gemmRowRef(a, k, b, ldb, j, n, out);
-#else
-    // Match the vector body's mul-then-add rounding in the tail.
-    for (; j < n; ++j) {
-        float acc = 0.0f;
-        for (int i = 0; i < k; ++i)
-            acc += a[i] * b[int64_t(i) * ldb + j];
-        out[j] = acc;
-    }
-#endif
 }
 
 void
@@ -360,7 +423,7 @@ biasReluRowAvx2(float *out, int n, float bias, bool relu)
 constexpr Kernels kAvx2Kernels = {
     "avx2",         Level::Avx2, censusRowAvx2,
     hammingRowAvx2, sadSpanAvx2, aggregateRowAvx2,
-    costRowAvx2,    gemmRowAvx2, biasReluRowAvx2,
+    costRowAvx2,    gemmTileAvx2, biasReluRowAvx2,
     kAvx2GemmFused,
 };
 

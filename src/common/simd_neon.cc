@@ -4,9 +4,9 @@
  * bit-packing (vcltq_f32 masks shifted in MSB-first), vcntq_u8 +
  * pairwise-widening Hamming rows, 2-lane float64x2_t SAD spans,
  * 8-lane saturating-uint16 SGM aggregation rows (vminvq_u16
- * horizontal min), and the 4-lane FMLA f32 GEMM row + bias/ReLU
- * epilogue for the DNN path (FMLA is fused, so gemmRow is
- * bit-identical to the scalar std::fmaf reference).
+ * horizontal min), and the 4 x 16 register-blocked FMLA f32 GEMM
+ * tile + bias/ReLU epilogue for the DNN path (FMLA is fused, so
+ * gemmTile is bit-identical to the scalar std::fmaf reference).
  *
  * NEON is baseline on armv8-a, so no per-file target flags are
  * strictly required; the whole file degrades to a nullptr getter off
@@ -185,37 +185,154 @@ costRowNeon(const uint64_t *cl, const uint64_t *cr, int w, int nd,
     }
 }
 
+/** Loads lanes [0, lanes) of a 4-lane vector, +0 above; never
+ *  touches memory past p[lanes - 1]. */
+inline float32x4_t
+loadPartialNeon(const float *p, int lanes)
+{
+    const float32x2_t zero = vdup_n_f32(0.0f);
+    switch (lanes) {
+      case 1:
+        return vcombine_f32(vld1_lane_f32(p, zero, 0), zero);
+      case 2:
+        return vcombine_f32(vld1_f32(p), zero);
+      case 3:
+        return vcombine_f32(vld1_f32(p),
+                            vld1_lane_f32(p + 2, zero, 0));
+      default:
+        return vld1q_f32(p);
+    }
+}
+
+/** Stores lanes [0, lanes) of @p v. */
+inline void
+storePartialNeon(float *p, float32x4_t v, int lanes)
+{
+    switch (lanes) {
+      case 1:
+        vst1q_lane_f32(p, v, 0);
+        break;
+      case 2:
+        vst1_f32(p, vget_low_f32(v));
+        break;
+      case 3:
+        vst1_f32(p, vget_low_f32(v));
+        vst1q_lane_f32(p + 2, v, 2);
+        break;
+      default:
+        vst1q_f32(p, v);
+        break;
+    }
+}
+
+/**
+ * Columns [0, 4 * NV) of an M-row GEMM tile; with Partial, the last
+ * vector holds only @p lanes columns. vfmaq_f32 is a fused
+ * multiply-add (one rounding per step), so each lane — partial ones
+ * included — replays the scalar std::fmaf chain bit-exactly
+ * (fusedF32 == true).
+ */
+template <int M, int NV, bool Partial>
+inline void
+gemmBlockNeon(const float *a, int64_t lda, int k, const float *b,
+              int64_t ldb, float *out, int64_t ldo, bool accumulate,
+              int lanes)
+{
+    const auto load = [lanes](const float *p, int v) {
+        return Partial && v == NV - 1 ? loadPartialNeon(p, lanes)
+                                      : vld1q_f32(p);
+    };
+    float32x4_t acc[M][NV];
+#pragma GCC unroll 4
+    for (int r = 0; r < M; ++r)
+#pragma GCC unroll 4
+        for (int v = 0; v < NV; ++v)
+            acc[r][v] = accumulate ? load(out + r * ldo + 4 * v, v)
+                                   : vdupq_n_f32(0.0f);
+    for (int i = 0; i < k; ++i) {
+        const float *bi = b + i * ldb;
+        float32x4_t bv[NV];
+#pragma GCC unroll 4
+        for (int v = 0; v < NV; ++v)
+            bv[v] = load(bi + 4 * v, v);
+#pragma GCC unroll 4
+        for (int r = 0; r < M; ++r) {
+            const float32x4_t av = vdupq_n_f32(a[r * lda + i]);
+#pragma GCC unroll 4
+            for (int v = 0; v < NV; ++v)
+                acc[r][v] = vfmaq_f32(acc[r][v], av, bv[v]);
+        }
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < M; ++r) {
+#pragma GCC unroll 4
+        for (int v = 0; v < NV; ++v) {
+            float *p = out + r * ldo + 4 * v;
+            if (Partial && v == NV - 1)
+                storePartialNeon(p, acc[r][v], lanes);
+            else
+                vst1q_f32(p, acc[r][v]);
+        }
+    }
+}
+
+/** An M-row tile: 4 x 16 register blocks (16 of the 32 q registers
+ *  accumulate), then one block of up to 15 tail columns with a
+ *  partial last vector. */
+template <int M>
 void
-gemmRowNeon(const float *a, int k, const float *b, int64_t ldb,
-            float *out, int n)
+gemmRowsNeon(const float *a, int64_t lda, int k, const float *b,
+             int64_t ldb, float *out, int64_t ldo, int n,
+             bool accumulate)
 {
     int j = 0;
-    // 8 outputs per iteration over two independent 4-lane FMLA
-    // chains. vfmaq_f32 is a fused multiply-add (one rounding per
-    // step), so each lane replays the scalar std::fmaf chain
-    // bit-exactly (fusedF32 == true).
-    for (; j + 8 <= n; j += 8) {
-        float32x4_t acc0 = vdupq_n_f32(0.0f);
-        float32x4_t acc1 = vdupq_n_f32(0.0f);
-        const float *bj = b + j;
-        for (int i = 0; i < k; ++i) {
-            const float32x4_t av = vdupq_n_f32(a[i]);
-            const float *bi = bj + int64_t(i) * ldb;
-            acc0 = vfmaq_f32(acc0, av, vld1q_f32(bi));
-            acc1 = vfmaq_f32(acc1, av, vld1q_f32(bi + 4));
-        }
-        vst1q_f32(out + j, acc0);
-        vst1q_f32(out + j + 4, acc1);
+    for (; j + 16 <= n; j += 16)
+        gemmBlockNeon<M, 4, false>(a, lda, k, b + j, ldb, out + j,
+                                   ldo, accumulate, 4);
+    const int rem = n - j;
+    if (rem == 0)
+        return;
+    const int lanes = rem % 4 != 0 ? rem % 4 : 4;
+    switch ((rem + 3) / 4) {
+      case 1:
+        gemmBlockNeon<M, 1, true>(a, lda, k, b + j, ldb, out + j, ldo,
+                                  accumulate, lanes);
+        break;
+      case 2:
+        gemmBlockNeon<M, 2, true>(a, lda, k, b + j, ldb, out + j, ldo,
+                                  accumulate, lanes);
+        break;
+      case 3:
+        gemmBlockNeon<M, 3, true>(a, lda, k, b + j, ldb, out + j, ldo,
+                                  accumulate, lanes);
+        break;
+      default:
+        gemmBlockNeon<M, 4, true>(a, lda, k, b + j, ldb, out + j, ldo,
+                                  accumulate, lanes);
+        break;
     }
-    for (; j + 4 <= n; j += 4) {
-        float32x4_t acc = vdupq_n_f32(0.0f);
-        const float *bj = b + j;
-        for (int i = 0; i < k; ++i)
-            acc = vfmaq_f32(acc, vdupq_n_f32(a[i]),
-                            vld1q_f32(bj + int64_t(i) * ldb));
-        vst1q_f32(out + j, acc);
+}
+
+void
+gemmTileNeon(const float *a, int64_t lda, int m, int k, const float *b,
+             int64_t ldb, float *out, int64_t ldo, int n,
+             bool accumulate)
+{
+    switch (m) {
+      case 1:
+        gemmRowsNeon<1>(a, lda, k, b, ldb, out, ldo, n, accumulate);
+        break;
+      case 2:
+        gemmRowsNeon<2>(a, lda, k, b, ldb, out, ldo, n, accumulate);
+        break;
+      case 3:
+        gemmRowsNeon<3>(a, lda, k, b, ldb, out, ldo, n, accumulate);
+        break;
+      default:
+        static_assert(kGemmTileRows == 4);
+        gemmRowsNeon<4>(a, lda, k, b, ldb, out, ldo, n, accumulate);
+        break;
     }
-    gemmRowRef(a, k, b, ldb, j, n, out);
 }
 
 void
@@ -245,7 +362,7 @@ biasReluRowNeon(float *out, int n, float bias, bool relu)
 constexpr Kernels kNeonKernels = {
     "neon",         Level::Neon, censusRowNeon,
     hammingRowNeon, sadSpanNeon, aggregateRowNeon,
-    costRowNeon,    gemmRowNeon, biasReluRowNeon,
+    costRowNeon,    gemmTileNeon, biasReluRowNeon,
     /*fusedF32=*/true,
 };
 

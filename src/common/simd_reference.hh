@@ -4,9 +4,10 @@
  *
  * One definition of the census bit-pack, Hamming popcount, fused
  * pixel-major cost row, SAD accumulation, semi-global aggregation,
- * f32 GEMM row, and bias+ReLU epilogue semantics, included by
+ * f32 GEMM tile, and bias+ReLU epilogue semantics, included by
  * every per-ISA translation unit: the scalar table uses them as its
- * kernels, and the vector tables use them for sub-vector tails.
+ * kernels, and the vector tables use most of them for sub-vector
+ * tails (the GEMM tile's tails are masked vectors instead).
  * Keeping a single copy means a future change to the encoding or
  * accumulation order cannot silently diverge between the scalar
  * baseline and a tail path — the exact breakage the bit-identity
@@ -15,7 +16,7 @@
  * Almost all operations are exact (integer, predicate, or IEEE
  * add/sub/abs with no fusable multiply-adds), so compiling these
  * inline functions under different target flags cannot change their
- * results. The one multiply-accumulate loop — the f32 GEMM row for
+ * results. The one multiply-accumulate loop — the f32 GEMM tile for
  * the DNN path — spells its fusion out with std::fmaf (correctly
  * rounded by definition, never silently contracted or split), so it
  * too is flag-independent; see docs/KERNELS.md for the f32 contract.
@@ -144,25 +145,29 @@ costRowRef(const uint64_t *cl, const uint64_t *cr, int nd, int x0,
 }
 
 /**
- * f32 GEMM row for outputs [j0, j1); see GemmRowFn. The vector
- * tables call this with j0 > 0 for the sub-vector tail. Each output
- * is an independent fused-multiply-add chain over i ascending with
- * the accumulator starting at +0.0f — the accumulation order every
- * vector lane replays. std::fmaf is correctly rounded (a single
- * rounding per step), so a fused vector lane (AVX2+FMA, NEON FMLA)
- * reproduces these bits exactly; a mul-then-add lane (SSE4.2) rounds
- * twice per step and is tolerance-tested instead. docs/KERNELS.md
- * spells out the contract.
+ * f32 GEMM tile; see GemmTileFn. Each output is an independent
+ * fused-multiply-add chain over i ascending, starting from +0.0f (or,
+ * with @p accumulate, from the float already in @p out) — the
+ * accumulation order every vector lane replays. std::fmaf is
+ * correctly rounded (a single rounding per step), so a fused vector
+ * lane (AVX2+FMA, NEON FMLA) reproduces these bits exactly; a
+ * mul-then-add lane (SSE4.2) rounds twice per step and is
+ * tolerance-tested instead. docs/KERNELS.md spells out the contract.
  */
 inline void
-gemmRowRef(const float *a, int k, const float *b, int64_t ldb, int j0,
-           int j1, float *out)
+gemmTileRef(const float *a, int64_t lda, int m, int k, const float *b,
+            int64_t ldb, float *out, int64_t ldo, int n,
+            bool accumulate)
 {
-    for (int j = j0; j < j1; ++j) {
-        float acc = 0.0f;
-        for (int i = 0; i < k; ++i)
-            acc = std::fmaf(a[i], b[int64_t(i) * ldb + j], acc);
-        out[j] = acc;
+    for (int r = 0; r < m; ++r) {
+        const float *ar = a + r * lda;
+        float *orow = out + r * ldo;
+        for (int j = 0; j < n; ++j) {
+            float acc = accumulate ? orow[j] : 0.0f;
+            for (int i = 0; i < k; ++i)
+                acc = std::fmaf(ar[i], b[i * ldb + j], acc);
+            orow[j] = acc;
+        }
     }
 }
 

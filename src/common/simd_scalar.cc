@@ -55,13 +55,6 @@ costRowScalar(const uint64_t *cl, const uint64_t *cr, int w, int nd,
 }
 
 void
-gemmRowScalar(const float *a, int k, const float *b, int64_t ldb,
-              float *out, int n)
-{
-    gemmRowRef(a, k, b, ldb, 0, n, out);
-}
-
-void
 biasReluRowScalar(float *out, int n, float bias, bool relu)
 {
     biasReluRowRef(out, 0, n, bias, relu);
@@ -70,7 +63,7 @@ biasReluRowScalar(float *out, int n, float bias, bool relu)
 constexpr Kernels kScalarKernels = {
     "scalar",         Level::Scalar, censusRowScalar,
     hammingRowScalar, sadSpanScalar, aggregateRowScalar,
-    costRowScalar,    gemmRowScalar, biasReluRowScalar,
+    costRowScalar,    gemmTileRef,   biasReluRowScalar,
     /*fusedF32=*/true,
 };
 

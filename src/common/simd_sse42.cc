@@ -2,10 +2,10 @@
  * @file
  * SSE4.2 kernel table: 4-wide census bit-packing, hardware-POPCNT
  * Hamming rows, 2-lane double SAD spans, 8-lane saturating-uint16
- * SGM aggregation rows (PHMINPOSUW horizontal min), and the 4-lane
- * f32 GEMM row + bias/ReLU epilogue for the DNN path. SSE4.2 has no
- * FMA, so gemmRow is the table's one tolerance-tested kernel
- * (fusedF32 == false; see docs/KERNELS.md).
+ * SGM aggregation rows (PHMINPOSUW horizontal min), and the 4 x 8
+ * register-blocked f32 GEMM tile + bias/ReLU epilogue for the DNN
+ * path. SSE4.2 has no FMA, so gemmTile is the table's one
+ * tolerance-tested kernel (fusedF32 == false; see docs/KERNELS.md).
  *
  * Compiled with -msse4.2 -mpopcnt (see CMakeLists); the whole file
  * degrades to a nullptr getter when those flags are unavailable so
@@ -194,48 +194,146 @@ costRowSse42(const uint64_t *cl, const uint64_t *cr, int w, int nd,
     }
 }
 
+/** Loads lanes [0, lanes) of a 4-lane vector, +0 above; never
+ *  touches memory past p[lanes - 1]. */
+inline __m128
+loadPartialSse42(const float *p, int lanes)
+{
+    switch (lanes) {
+      case 1:
+        return _mm_load_ss(p);
+      case 2:
+        return _mm_castsi128_ps(
+            _mm_loadl_epi64(reinterpret_cast<const __m128i *>(p)));
+      case 3:
+        return _mm_movelh_ps(
+            _mm_castsi128_ps(_mm_loadl_epi64(
+                reinterpret_cast<const __m128i *>(p))),
+            _mm_load_ss(p + 2));
+      default:
+        return _mm_loadu_ps(p);
+    }
+}
+
+/** Stores lanes [0, lanes) of @p v. */
+inline void
+storePartialSse42(float *p, __m128 v, int lanes)
+{
+    switch (lanes) {
+      case 1:
+        _mm_store_ss(p, v);
+        break;
+      case 2:
+        _mm_storel_epi64(reinterpret_cast<__m128i *>(p),
+                         _mm_castps_si128(v));
+        break;
+      case 3:
+        _mm_storel_epi64(reinterpret_cast<__m128i *>(p),
+                         _mm_castps_si128(v));
+        _mm_store_ss(p + 2, _mm_movehl_ps(v, v));
+        break;
+      default:
+        _mm_storeu_ps(p, v);
+        break;
+    }
+}
+
+/**
+ * Columns [0, 4 * NV) of an M-row GEMM tile; with Partial, the last
+ * vector holds only @p lanes columns. This TU has no FMA, so each step is
+ * a separate MULPS + ADDPS rounding — the one tolerance-tested
+ * gemmTile lane (Kernels::fusedF32 == false; see docs/KERNELS.md).
+ * Partial vectors run the same mul-then-add, so the tolerance
+ * contract is uniform across columns.
+ */
+template <int M, int NV, bool Partial>
+inline void
+gemmBlockSse42(const float *a, int64_t lda, int k, const float *b,
+               int64_t ldb, float *out, int64_t ldo, bool accumulate,
+               int lanes)
+{
+    const auto load = [lanes](const float *p, int v) {
+        return Partial && v == NV - 1 ? loadPartialSse42(p, lanes)
+                                      : _mm_loadu_ps(p);
+    };
+    __m128 acc[M][NV];
+#pragma GCC unroll 4
+    for (int r = 0; r < M; ++r)
+#pragma GCC unroll 2
+        for (int v = 0; v < NV; ++v)
+            acc[r][v] = accumulate ? load(out + r * ldo + 4 * v, v)
+                                   : _mm_setzero_ps();
+    for (int i = 0; i < k; ++i) {
+        const float *bi = b + i * ldb;
+        __m128 bv[NV];
+#pragma GCC unroll 2
+        for (int v = 0; v < NV; ++v)
+            bv[v] = load(bi + 4 * v, v);
+#pragma GCC unroll 4
+        for (int r = 0; r < M; ++r) {
+            const __m128 av = _mm_set1_ps(a[r * lda + i]);
+#pragma GCC unroll 2
+            for (int v = 0; v < NV; ++v)
+                acc[r][v] =
+                    _mm_add_ps(acc[r][v], _mm_mul_ps(av, bv[v]));
+        }
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < M; ++r) {
+#pragma GCC unroll 2
+        for (int v = 0; v < NV; ++v) {
+            float *p = out + r * ldo + 4 * v;
+            if (Partial && v == NV - 1)
+                storePartialSse42(p, acc[r][v], lanes);
+            else
+                _mm_storeu_ps(p, acc[r][v]);
+        }
+    }
+}
+
+/** An M-row tile: 4 x 8 register blocks, then one block of up to 7
+ *  tail columns with a partial last vector. */
+template <int M>
 void
-gemmRowSse42(const float *a, int k, const float *b, int64_t ldb,
-             float *out, int n)
+gemmRowsSse42(const float *a, int64_t lda, int k, const float *b,
+              int64_t ldb, float *out, int64_t ldo, int n,
+              bool accumulate)
 {
     int j = 0;
-    // 8 outputs per iteration, broadcast a[i] across both 4-lane
-    // accumulators. This TU has no FMA, so each step is a separate
-    // MULPS + ADDPS rounding — the one tolerance-tested gemmRow lane
-    // (Kernels::fusedF32 == false; see docs/KERNELS.md).
-    for (; j + 8 <= n; j += 8) {
-        __m128 acc0 = _mm_setzero_ps();
-        __m128 acc1 = _mm_setzero_ps();
-        const float *bj = b + j;
-        for (int i = 0; i < k; ++i) {
-            const __m128 av = _mm_set1_ps(a[i]);
-            const float *bi = bj + int64_t(i) * ldb;
-            acc0 = _mm_add_ps(acc0,
-                              _mm_mul_ps(av, _mm_loadu_ps(bi)));
-            acc1 = _mm_add_ps(acc1,
-                              _mm_mul_ps(av, _mm_loadu_ps(bi + 4)));
-        }
-        _mm_storeu_ps(out + j, acc0);
-        _mm_storeu_ps(out + j + 4, acc1);
-    }
-    for (; j + 4 <= n; j += 4) {
-        __m128 acc = _mm_setzero_ps();
-        const float *bj = b + j;
-        for (int i = 0; i < k; ++i)
-            acc = _mm_add_ps(
-                acc, _mm_mul_ps(_mm_set1_ps(a[i]),
-                                _mm_loadu_ps(bj + int64_t(i) * ldb)));
-        _mm_storeu_ps(out + j, acc);
-    }
-    // Unfused scalar tail (not gemmRowRef, whose std::fmaf would put
-    // the tail outputs under a *different* rounding than the vector
-    // body): the whole sse42 row stays under one mul-then-add
-    // behavior, so the tolerance contract is uniform across j.
-    for (; j < n; ++j) {
-        float acc = 0.0f;
-        for (int i = 0; i < k; ++i)
-            acc += a[i] * b[int64_t(i) * ldb + j];
-        out[j] = acc;
+    for (; j + 8 <= n; j += 8)
+        gemmBlockSse42<M, 2, false>(a, lda, k, b + j, ldb, out + j,
+                                    ldo, accumulate, 4);
+    const int rem = n - j;
+    if (rem == 0)
+        return;
+    const int lanes = rem % 4 != 0 ? rem % 4 : 4;
+    if (rem > 4)
+        gemmBlockSse42<M, 2, true>(a, lda, k, b + j, ldb, out + j,
+                                   ldo, accumulate, lanes);
+    else
+        gemmBlockSse42<M, 1, true>(a, lda, k, b + j, ldb, out + j,
+                                   ldo, accumulate, lanes);
+}
+
+void
+gemmTileSse42(const float *a, int64_t lda, int m, int k,
+              const float *b, int64_t ldb, float *out, int64_t ldo,
+              int n, bool accumulate)
+{
+    switch (m) {
+      case 1:
+        gemmRowsSse42<1>(a, lda, k, b, ldb, out, ldo, n, accumulate);
+        break;
+      case 2:
+        gemmRowsSse42<2>(a, lda, k, b, ldb, out, ldo, n, accumulate);
+        break;
+      case 3:
+        gemmRowsSse42<3>(a, lda, k, b, ldb, out, ldo, n, accumulate);
+        break;
+      default:
+        static_assert(kGemmTileRows == 4);
+        gemmRowsSse42<4>(a, lda, k, b, ldb, out, ldo, n, accumulate);
+        break;
     }
 }
 
@@ -264,7 +362,7 @@ biasReluRowSse42(float *out, int n, float bias, bool relu)
 constexpr Kernels kSse42Kernels = {
     "sse42",         Level::Sse42, censusRowSse42,
     hammingRowSse42, sadSpanSse42, aggregateRowSse42,
-    costRowSse42,    gemmRowSse42, biasReluRowSse42,
+    costRowSse42,    gemmTileSse42, biasReluRowSse42,
     /*fusedF32=*/false,
 };
 

@@ -11,6 +11,9 @@ namespace asv::deconv
 namespace
 {
 
+/** Stack-array ceiling of the crop/gather odometers. */
+constexpr int kMaxDims = 4;
+
 /** Floor division that is correct for negative numerators. */
 int64_t
 floorDiv(int64_t a, int64_t b)
@@ -183,27 +186,120 @@ extractSubKernel(const Tensor &weight, const SubConv &sub,
     if (sub.empty())
         return sk;
 
-    Shape tap_shape(sk_shape.begin() + 2, sk_shape.end());
-    Shape w_idx(nd + 2), s_idx(nd + 2);
-    for (int64_t f = 0; f < weight.dim(0); ++f) {
-        for (int64_t c = 0; c < weight.dim(1); ++c) {
-            w_idx[0] = s_idx[0] = f;
-            w_idx[1] = s_idx[1] = c;
-            tensor::forEachIndex(
-                tap_shape, [&](std::span<const int64_t> j) {
-                    for (int d = 0; d < nd; ++d) {
-                        s_idx[2 + d] = j[d];
-                        w_idx[2 + d] =
-                            stride[d] * j[d] + sub.dims[d].delta;
-                    }
-                    sk.at(std::span<const int64_t>(s_idx.data(),
-                                                   s_idx.size())) =
-                        weight.at(std::span<const int64_t>(
-                            w_idx.data(), w_idx.size()));
-                });
-        }
+    // Flat offset, inside one [f, c] kernel slice, of every sub-kernel
+    // tap (raster order): tap j reads kernel position
+    // stride * j + delta per spatial dim.
+    const Shape tap_shape(sk_shape.begin() + 2, sk_shape.end());
+    const int64_t taps = tensor::numElems(tap_shape);
+    std::vector<int64_t> src(static_cast<size_t>(taps), 0);
+    int64_t span = 1; // row-major stride of dim d in the full kernel
+    int64_t reps = 1; // sub-kernel taps in dims after d
+    for (int d = nd - 1; d >= 0; --d) {
+        const int64_t e = tap_shape[d];
+        for (int64_t t = 0; t < taps; ++t)
+            src[t] += (stride[d] * (t / reps % e) + sub.dims[d].delta) *
+                      span;
+        span *= weight.dim(2 + d);
+        reps *= e;
     }
+
+    const float *w = weight.data();
+    float *o = sk.data();
+    for (int64_t fc = 0; fc < weight.dim(0) * weight.dim(1); ++fc)
+        for (int64_t t = 0; t < taps; ++t)
+            *o++ = w[fc * span + src[t]];
     return sk;
+}
+
+void
+cropInto(const Tensor &in, const Shape &crop_lo, Tensor &out,
+         const ExecContext &ctx)
+{
+    const int nd = static_cast<int>(in.rank()) - 1;
+    panic_if(nd < 1 || nd > kMaxDims || out.rank() != in.rank() ||
+                 out.dim(0) != in.dim(0),
+             "cropInto: bad shapes ", tensor::toString(in.shape()),
+             " -> ", tensor::toString(out.shape()));
+    const int64_t *sstr = in.strides().data() + 1;
+    const int64_t *dstr = out.strides().data() + 1;
+    const int64_t schan = in.strides()[0];
+    const int64_t dchan = out.strides()[0];
+    const int64_t inner = out.dim(nd);
+    ctx.parallelFor(0, in.dim(0), [&](int64_t c0, int64_t c1) {
+        int64_t o[kMaxDims];
+        for (int64_t c = c0; c < c1; ++c) {
+            const float *sbase = in.data() + c * schan;
+            float *dbase = out.data() + c * dchan;
+            for (int d = 0; d + 1 < nd; ++d)
+                o[d] = 0;
+            while (true) {
+                int64_t soff = crop_lo[nd - 1];
+                int64_t doff = 0;
+                for (int d = 0; d + 1 < nd; ++d) {
+                    soff += (o[d] + crop_lo[d]) * sstr[d];
+                    doff += o[d] * dstr[d];
+                }
+                std::copy_n(sbase + soff, inner, dbase + doff);
+                int d = nd - 2;
+                while (d >= 0) {
+                    if (++o[d] < out.dim(1 + d))
+                        break;
+                    o[d] = 0;
+                    --d;
+                }
+                if (d < 0)
+                    break;
+            }
+        }
+    });
+}
+
+void
+gatherPhase(const Tensor &sub_out, const Shape &stride,
+            const Shape &phase, Tensor &out, const ExecContext &ctx)
+{
+    const int nd = static_cast<int>(out.rank()) - 1;
+    panic_if(nd < 1 || nd > kMaxDims || sub_out.rank() != out.rank() ||
+                 sub_out.dim(0) != out.dim(0),
+             "gatherPhase: bad shapes ",
+             tensor::toString(sub_out.shape()), " -> ",
+             tensor::toString(out.shape()));
+    const int64_t *sstr = sub_out.strides().data() + 1;
+    const int64_t *ostr = out.strides().data() + 1;
+    const int64_t schan = sub_out.strides()[0];
+    const int64_t ochan = out.strides()[0];
+    const int64_t inner = sub_out.dim(nd);
+    const int64_t inner_step = stride[nd - 1];
+    ctx.parallelFor(0, sub_out.dim(0), [&](int64_t f0, int64_t f1) {
+        int64_t o[kMaxDims];
+        for (int64_t f = f0; f < f1; ++f) {
+            const float *sbase = sub_out.data() + f * schan;
+            float *obase = out.data() + f * ochan;
+            for (int d = 0; d + 1 < nd; ++d)
+                o[d] = 0;
+            while (true) {
+                int64_t soff = 0;
+                int64_t ooff = phase[nd - 1];
+                for (int d = 0; d + 1 < nd; ++d) {
+                    soff += o[d] * sstr[d];
+                    ooff += (o[d] * stride[d] + phase[d]) * ostr[d];
+                }
+                const float *src = sbase + soff;
+                float *dst = obase + ooff;
+                for (int64_t j = 0; j < inner; ++j)
+                    dst[j * inner_step] = src[j];
+                int d = nd - 2;
+                while (d >= 0) {
+                    if (++o[d] < sub_out.dim(1 + d))
+                        break;
+                    o[d] = 0;
+                    --d;
+                }
+                if (d < 0)
+                    break;
+            }
+        }
+    });
 }
 
 namespace
@@ -262,38 +358,17 @@ transformedDeconvImpl(const Tensor &input, const Tensor &weight,
         // Crop the input if needed.
         const Tensor *eff_input = &input;
         Tensor cropped;
-        bool need_crop = false;
-        for (int d = 0; d < nd; ++d)
-            if (crop_lo[d] > 0 || crop_hi[d] > 0)
-                need_crop = true;
-        if (need_crop) {
+        if (std::any_of(crop_lo.begin(), crop_lo.end(),
+                        [](int64_t c) { return c > 0; }) ||
+            std::any_of(crop_hi.begin(), crop_hi.end(),
+                        [](int64_t c) { return c > 0; })) {
             Shape cs;
             cs.push_back(input.dim(0));
             for (int d = 0; d < nd; ++d)
                 cs.push_back(input.dim(1 + d) - crop_lo[d] -
                              crop_hi[d]);
             cropped = Tensor(cs);
-            // Channels write disjoint slices: fan the copy out.
-            const Shape spatial(cs.begin() + 1, cs.end());
-            ctx.parallelFor(0, cs[0], [&](int64_t c0, int64_t c1) {
-                Shape src_idx(nd + 1), dst_idx(nd + 1);
-                for (int64_t c = c0; c < c1; ++c) {
-                    src_idx[0] = dst_idx[0] = c;
-                    tensor::forEachIndex(
-                        spatial, [&](std::span<const int64_t> j) {
-                            for (int d = 0; d < nd; ++d) {
-                                dst_idx[1 + d] = j[d];
-                                src_idx[1 + d] =
-                                    j[d] + crop_lo[d];
-                            }
-                            cropped.at(std::span<const int64_t>(
-                                dst_idx.data(), dst_idx.size())) =
-                                input.at(std::span<const int64_t>(
-                                    src_idx.data(),
-                                    src_idx.size()));
-                        });
-                }
-            });
+            cropInto(input, crop_lo, cropped, ctx);
             eff_input = &cropped;
         }
 
@@ -311,29 +386,10 @@ transformedDeconvImpl(const Tensor &input, const Tensor &weight,
                          stats, ctx);
 
         // Gather: interleave into the ofmap at stride positions.
-        // Filters write disjoint ofmap slices: fan the scatter out.
-        const Shape so_spatial(sub_out.shape().begin() + 1,
-                               sub_out.shape().end());
-        ctx.parallelFor(
-            0, sub_out.dim(0), [&](int64_t f0, int64_t f1) {
-                Shape so_idx(nd + 1), out_idx(nd + 1);
-                for (int64_t f = f0; f < f1; ++f) {
-                    so_idx[0] = out_idx[0] = f;
-                    tensor::forEachIndex(
-                        so_spatial, [&](std::span<const int64_t> j) {
-                            for (int d = 0; d < nd; ++d) {
-                                so_idx[1 + d] = j[d];
-                                out_idx[1 + d] =
-                                    j[d] * spec.stride[d] +
-                                    sc.dims[d].phase;
-                            }
-                            out.at(std::span<const int64_t>(
-                                out_idx.data(), out_idx.size())) =
-                                sub_out.at(std::span<const int64_t>(
-                                    so_idx.data(), so_idx.size()));
-                        });
-                }
-            });
+        Shape phase(nd);
+        for (int d = 0; d < nd; ++d)
+            phase[d] = sc.dims[d].phase;
+        gatherPhase(sub_out, spec.stride, phase, out, ctx);
     }
     return out;
 }

@@ -111,6 +111,26 @@ Tensor extractSubKernel(const Tensor &weight, const SubConv &sub,
                         const Shape &stride);
 
 /**
+ * Copy the window of @p in ([C, spatial...], 1-4 spatial dims) whose
+ * leading corner is @p crop_lo into @p out, whose spatial extents
+ * size the window — a sub-convolution's leading/trailing ifmap crop.
+ * Channels fan out over @p ctx; innermost runs are contiguous
+ * copies.
+ */
+void cropInto(const Tensor &in, const Shape &crop_lo, Tensor &out,
+              const ExecContext &ctx);
+
+/**
+ * Interleave one sub-convolution's output into the ofmap:
+ * out[f, j * stride + phase] = sub_out[f, j] per spatial dim.
+ * Filters fan out over @p ctx; sub-convolutions write disjoint
+ * phases, so gathering them in any order gives the same ofmap.
+ */
+void gatherPhase(const Tensor &sub_out, const Shape &stride,
+                 const Shape &phase, Tensor &out,
+                 const ExecContext &ctx);
+
+/**
  * Execute a deconvolution via the transformation: decompose, run each
  * sub-convolution as a dense convNd, and gather the interleaved
  * ofmap. Bit-equal to tensor::deconvNd.

@@ -18,113 +18,11 @@ namespace
 /** Stack-array odometer ceiling (spatial rank; the IR allows 1-3). */
 constexpr int kMaxDims = 4;
 
-/** Row-major strides of the spatial dims of a [C, spatial...] tensor;
- *  returns the elements per channel. */
-int64_t
-spatialStrides(const Tensor &t, int64_t *stride)
-{
-    const int nd = static_cast<int>(t.rank()) - 1;
-    int64_t s = 1;
-    for (int d = nd - 1; d >= 0; --d) {
-        stride[d] = s;
-        s *= t.dim(1 + d);
-    }
-    return s;
-}
-
 /** The dispatched kernels' ReLU semantics: v > 0 ? v : +0. */
 float
 reluRef(float v)
 {
     return v > 0.0f ? v : 0.0f;
-}
-
-/** Crop the leading/trailing borders of @p in into @p out (the crop
- *  extents are implied by the two shapes plus @p crop_lo). Channels
- *  write disjoint slices; innermost runs are contiguous copies. */
-void
-runCrop(const Tensor &in, const Shape &crop_lo, Tensor &out,
-        const ExecContext &ctx)
-{
-    const int nd = static_cast<int>(in.rank()) - 1;
-    int64_t sstr[kMaxDims];
-    int64_t dstr[kMaxDims];
-    const int64_t schan = spatialStrides(in, sstr);
-    const int64_t dchan = spatialStrides(out, dstr);
-    const int64_t inner = out.dim(nd);
-    ctx.parallelFor(0, in.dim(0), [&](int64_t c0, int64_t c1) {
-        int64_t o[kMaxDims];
-        for (int64_t c = c0; c < c1; ++c) {
-            const float *sbase = in.data() + c * schan;
-            float *dbase = out.data() + c * dchan;
-            for (int d = 0; d + 1 < nd; ++d)
-                o[d] = 0;
-            while (true) {
-                int64_t soff = crop_lo[nd - 1];
-                int64_t doff = 0;
-                for (int d = 0; d + 1 < nd; ++d) {
-                    soff += (o[d] + crop_lo[d]) * sstr[d];
-                    doff += o[d] * dstr[d];
-                }
-                std::copy_n(sbase + soff, inner, dbase + doff);
-                int d = nd - 2;
-                while (d >= 0) {
-                    if (++o[d] < out.dim(1 + d))
-                        break;
-                    o[d] = 0;
-                    --d;
-                }
-                if (d < 0)
-                    break;
-            }
-        }
-    });
-}
-
-/** Interleave @p sub_out into @p out at positions
- *  j * stride + phase per spatial dim. Filters write disjoint
- *  slices. */
-void
-runGather(const Tensor &sub_out, const Shape &stride,
-          const Shape &phase, Tensor &out, const ExecContext &ctx)
-{
-    const int nd = static_cast<int>(out.rank()) - 1;
-    int64_t sstr[kMaxDims];
-    int64_t ostr[kMaxDims];
-    const int64_t schan = spatialStrides(sub_out, sstr);
-    const int64_t ochan = spatialStrides(out, ostr);
-    const int64_t inner = sub_out.dim(nd);
-    const int64_t inner_step = stride[nd - 1];
-    ctx.parallelFor(0, sub_out.dim(0), [&](int64_t f0, int64_t f1) {
-        int64_t o[kMaxDims];
-        for (int64_t f = f0; f < f1; ++f) {
-            const float *sbase = sub_out.data() + f * schan;
-            float *obase = out.data() + f * ochan;
-            for (int d = 0; d + 1 < nd; ++d)
-                o[d] = 0;
-            while (true) {
-                int64_t soff = 0;
-                int64_t ooff = phase[nd - 1];
-                for (int d = 0; d + 1 < nd; ++d) {
-                    soff += o[d] * sstr[d];
-                    ooff += (o[d] * stride[d] + phase[d]) * ostr[d];
-                }
-                const float *s = sbase + soff;
-                float *dst = obase + ooff;
-                for (int64_t j = 0; j < inner; ++j)
-                    dst[j * inner_step] = s[j];
-                int d = nd - 2;
-                while (d >= 0) {
-                    if (++o[d] < sub_out.dim(1 + d))
-                        break;
-                    o[d] = 0;
-                    --d;
-                }
-                if (d < 0)
-                    break;
-            }
-        }
-    });
 }
 
 /** Fill one empty phase (no kernel taps) with the epilogue of zero:
@@ -135,8 +33,8 @@ gatherFill(const Shape &counts, const Shape &stride,
            bool relu, Tensor &out, const ExecContext &ctx)
 {
     const int nd = static_cast<int>(out.rank()) - 1;
-    int64_t ostr[kMaxDims];
-    const int64_t ochan = spatialStrides(out, ostr);
+    const int64_t *ostr = out.strides().data() + 1;
+    const int64_t ochan = out.strides()[0];
     const int64_t inner = counts[nd - 1];
     const int64_t inner_step = stride[nd - 1];
     ctx.parallelFor(0, out.dim(0), [&](int64_t f0, int64_t f1) {
@@ -175,8 +73,8 @@ runPool(const Tensor &in, const Shape &kernel, const Shape &stride,
         Tensor &out, const ExecContext &ctx)
 {
     const int nd = static_cast<int>(in.rank()) - 1;
-    int64_t istr[kMaxDims];
-    const int64_t ichan = spatialStrides(in, istr);
+    const int64_t *istr = in.strides().data() + 1;
+    const int64_t ichan = in.strides()[0];
     int64_t ochan = 1;
     for (int d = 0; d < nd; ++d)
         ochan *= out.dim(1 + d);
@@ -398,13 +296,14 @@ NetworkRuntime::runDeconv(Step &st, const Tensor &in,
         }
         const Tensor *src = &in;
         if (sub.needCrop) {
-            runCrop(in, sub.cropLo, sub.cropped, ctx);
+            deconv::cropInto(in, sub.cropLo, sub.cropped, ctx);
             src = &sub.cropped;
         }
         const tensor::ConvEpilogue epi{st.bias.data(), st.relu};
         tensor::convNdInto(*src, sub.kernel, sub.spec, &epi, ctx,
                            sub.out);
-        runGather(sub.out, st.stride, sub.phase, st.out, ctx);
+        deconv::gatherPhase(sub.out, st.stride, sub.phase, st.out,
+                            ctx);
     }
 }
 

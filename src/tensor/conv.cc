@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -18,6 +19,12 @@ namespace
 /** Spatial-rank ceiling of the GEMM route's stack-array odometers
  *  (no heap in the steady state); the paper's workloads are 2-D. */
 constexpr int kMaxSpatialDims = 4;
+
+/** Output columns per GEMM task (NC): a kGemmKBlock x kPanel block
+ *  of the column matrix is 192 KiB, sized to stay in L2 while a
+ *  chunk's filter tiles reuse it. A multiple of every table's
+ *  register-block width (24 / 8 / 16 columns). */
+constexpr int kPanel = 192;
 
 /**
  * True when a MAC convolution rides the dispatched f32 GEMM kernels.
@@ -42,48 +49,71 @@ gemmEligible(ConvOp op, const ConvStats *stats)
  * tap-raster-inner accumulation order, and lets the row-major
  * [K, C, k...] weight tensor serve as the [K x R] left operand with
  * no packing.
+ *
+ * Each row is filled one innermost-dim span at a time: for every
+ * outer output index the tap's valid output range [lo, hi) along the
+ * innermost dim is computed once, the edges are zero-filled, and the
+ * middle is a contiguous copy (stride 1) or a strided gather. An
+ * outer index whose tap lands in the padding zero-fills the span.
  */
 void
 im2colRows(const Tensor &input, std::span<const int64_t> ospatial,
            std::span<const int64_t> kspatial, const ConvSpec &spec,
            int64_t T, int64_t P, int64_t r0, int64_t r1, float *col)
 {
-    const int nd = static_cast<int>(ospatial.size());
-    int64_t istride[kMaxSpatialDims];
-    int64_t s = 1;
-    for (int d = nd - 1; d >= 0; --d) {
-        istride[d] = s;
-        s *= input.dim(1 + d);
-    }
-    const int64_t chan_elems = s;
+    const int last = static_cast<int>(ospatial.size()) - 1;
+    const int64_t *istride = input.strides().data() + 1;
+    const int64_t chan_elems = input.strides()[0];
+    const int64_t ow = ospatial[last];
+    const int64_t iw = input.dim(1 + last);
+    const int64_t sw = spec.stride[last];
 
     int64_t tap[kMaxSpatialDims];
     int64_t o[kMaxSpatialDims];
     for (int64_t r = r0; r < r1; ++r) {
         const int64_t c = r / T;
         int64_t t = r % T;
-        for (int d = nd - 1; d >= 0; --d) {
+        for (int d = last; d >= 0; --d) {
             tap[d] = t % kspatial[d];
             t /= kspatial[d];
         }
         const float *src = input.data() + c * chan_elems;
         float *dst = col + r * P;
-        for (int d = 0; d < nd; ++d)
+        // Output positions x along the innermost dim whose input
+        // coordinate x * sw + shift lands in [0, iw).
+        const int64_t shift = tap[last] - spec.padLo[last];
+        const int64_t lo = std::min(
+            ow, shift >= 0 ? 0 : (-shift + sw - 1) / sw);
+        const int64_t hi = std::max(
+            lo, iw - shift <= 0
+                    ? 0
+                    : std::min(ow, (iw - shift - 1) / sw + 1));
+        for (int d = 0; d < last; ++d)
             o[d] = 0;
-        for (int64_t p = 0; p < P; ++p) {
+        for (int64_t p = 0; p < P; p += ow) {
             int64_t off = 0;
             bool inside = true;
-            for (int d = 0; d < nd; ++d) {
+            for (int d = 0; d < last; ++d) {
                 const int64_t v =
                     o[d] * spec.stride[d] - spec.padLo[d] + tap[d];
-                if (v < 0 || v >= input.dim(1 + d)) {
-                    inside = false;
-                    break;
-                }
+                inside = inside && v >= 0 && v < input.dim(1 + d);
                 off += v * istride[d];
             }
-            dst[p] = inside ? src[off] : 0.0f;
-            for (int d = nd - 1; d >= 0; --d) {
+            float *span = dst + p;
+            if (!inside || lo == hi) {
+                std::fill_n(span, ow, 0.0f);
+            } else {
+                std::fill_n(span, lo, 0.0f);
+                const float *in_row = src + off + lo * sw + shift;
+                if (sw == 1) {
+                    std::copy_n(in_row, hi - lo, span + lo);
+                } else {
+                    for (int64_t x = 0; x < hi - lo; ++x)
+                        span[lo + x] = in_row[x * sw];
+                }
+                std::fill_n(span + hi, ow - hi, 0.0f);
+            }
+            for (int d = last - 1; d >= 0; --d) {
                 if (++o[d] < ospatial[d])
                     break;
                 o[d] = 0;
@@ -177,8 +207,17 @@ convNdInto(const Tensor &input, const Tensor &weight,
         direct = direct && kspatial[d] == 1 && spec.stride[d] == 1 &&
                  spec.padLo[d] == 0 && spec.padHi[d] == 0;
     }
-    const int64_t K = weight.dim(0);
-    const int64_t R = input.dim(0) * T;
+    // The tile loops below count filters, reduction rows and output
+    // columns in int, the kernels' m/k/n type.
+    panic_if(weight.dim(0) > std::numeric_limits<int>::max() ||
+                 input.dim(0) * T > std::numeric_limits<int>::max() ||
+                 P > std::numeric_limits<int>::max(),
+             "convNdInto: GEMM of ", weight.dim(0), " x ",
+             input.dim(0) * T, " x ", P,
+             " exceeds the kernels' int extents");
+    const int K = static_cast<int>(weight.dim(0));
+    const int R = static_cast<int>(input.dim(0) * T);
+    const int N = static_cast<int>(P);
 
     const simd::Kernels &kt = simd::kernels();
 
@@ -197,22 +236,48 @@ convNdInto(const Tensor &input, const Tensor &weight,
         col = cb;
     }
 
+    // Tasks are (column panel x filter tile) pairs in panel-major
+    // order, statically partitioned: a chunk is a run of filter
+    // tiles over one or a few panels, so every worker has work even
+    // when K is small, and each output element belongs to exactly
+    // one task. Within a panel the reduction is split into KC-row
+    // blocks; the block loop runs outside the filter tiles, so one
+    // KC x NC block of the column matrix stays cache-resident while
+    // every filter tile of the chunk passes over it. The first block
+    // writes the output and the rest accumulate into it: the float
+    // partial stored between blocks is exactly what one unbroken
+    // fmaf chain holds at that step, so the result is bit-identical
+    // to the unblocked reduction for any worker count (and across
+    // the fused SIMD levels; see docs/KERNELS.md).
+    constexpr int MR = simd::kGemmTileRows;
+    const int tiles = (K + MR - 1) / MR;
+    const int panels = (N + kPanel - 1) / kPanel;
     const float *wd = weight.data();
     float *od = out.data();
-    // One output row (filter) per gemmRow call: every output element
-    // is produced by exactly one thread replaying the serial
-    // reduction order, so results are bit-identical for any worker
-    // count (and across fused SIMD levels; see docs/KERNELS.md).
-    ctx.parallelFor(0, K, [&](int64_t f0, int64_t f1) {
-        for (int64_t f = f0; f < f1; ++f) {
-            float *row = od + f * P;
-            kt.gemmRow(wd + f * R, static_cast<int>(R), col, P, row,
-                       static_cast<int>(P));
+    ctx.parallelFor(0, int64_t(panels) * tiles, [&](int64_t t0,
+                                                    int64_t t1) {
+        // Task t covers panel t / tiles, filter tile t % tiles.
+        for (int p = int(t0 / tiles); p * int64_t(tiles) < t1; ++p) {
+            const int64_t first = int64_t(p) * tiles;
+            const int f0 = int(std::max(t0, first) - first) * MR;
+            const int f1 =
+                std::min(K, int(std::min(t1, first + tiles) - first) * MR);
+            const int j0 = p * kPanel;
+            const int n = std::min(kPanel, N - j0);
+            for (int i0 = 0; i0 < R; i0 += kGemmKBlock) {
+                const int k = std::min(kGemmKBlock, R - i0);
+                for (int f = f0; f < f1; f += MR)
+                    kt.gemmTile(wd + int64_t(f) * R + i0, R,
+                                std::min(MR, f1 - f), k,
+                                col + int64_t(i0) * N + j0, N,
+                                od + int64_t(f) * N + j0, N, n, i0 > 0);
+            }
             if (epilogue != nullptr)
-                kt.biasReluRow(
-                    row, static_cast<int>(P),
-                    epilogue->bias ? epilogue->bias[f] : 0.0f,
-                    epilogue->relu);
+                for (int f = f0; f < f1; ++f)
+                    kt.biasReluRow(
+                        od + int64_t(f) * N + j0, n,
+                        epilogue->bias ? epilogue->bias[f] : 0.0f,
+                        epilogue->relu);
         }
     });
 }

@@ -92,6 +92,14 @@ struct ConvEpilogue
     bool relu = false;           //!< clamp negatives (and NaN) to +0
 };
 
+/**
+ * Reduction rows per k-block (KC) of the GEMM route: a filter tile's
+ * KC weights stay in L1 while its column block streams past. Any
+ * value gives the same bits (see convNdInto); tests cover reductions
+ * on both sides of it.
+ */
+constexpr int kGemmKBlock = 256;
+
 /** Output shape of convNd for the given input/weight/spec. */
 Shape convOutShape(const Shape &input, const Shape &weight,
                    const ConvSpec &spec);
@@ -132,10 +140,12 @@ Tensor convNd(const Tensor &input, const Tensor &weight,
  * MAC convolution into a preallocated output — the zero-allocation
  * fast path behind dnn::NetworkRuntime. Always the f32 GEMM route:
  * im2col (or direct for pointwise stride-1 unpadded layers) into
- * BufferPool scratch from @p ctx, then one dispatched gemmRow per
- * filter, with the optional fused epilogue. @p out must already have
- * shape convOutShape(...); its prior contents are overwritten (no
- * pre-zeroing needed). Performs no heap allocations once @p ctx's
+ * BufferPool scratch from @p ctx, then the dispatched gemmTile over
+ * (filter tile x column panel) tasks with the reduction split into
+ * kGemmKBlock-row blocks, and the optional fused epilogue. @p out
+ * must already have shape convOutShape(...); its prior contents are
+ * overwritten (no pre-zeroing needed) — the k-block partials live in
+ * @p out itself. Performs no heap allocations once @p ctx's
  * BufferPool has warmed up. Supports 1-4 spatial dims.
  */
 void convNdInto(const Tensor &input, const Tensor &weight,

@@ -65,6 +65,8 @@ class Tensor
     static Tensor iota(Shape shape, float start = 0.f);
 
     const Shape &shape() const { return shape_; }
+    /** Row-major element strides, one per dimension. */
+    const Shape &strides() const { return strides_; }
     int rank() const { return static_cast<int>(shape_.size()); }
     int64_t size() const { return static_cast<int64_t>(data_.size()); }
     int64_t dim(int i) const;

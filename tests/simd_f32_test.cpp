@@ -1,6 +1,6 @@
 /**
  * @file
- * Property tests for the f32 DNN-path SIMD kernels (gemmRow /
+ * Property tests for the f32 DNN-path SIMD kernels (gemmTile /
  * biasReluRow) and everything routed through them: the convNd GEMM
  * route, the fused transformedDeconv epilogue, and the
  * dnn::NetworkRuntime end-to-end path.
@@ -26,7 +26,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/exec_context.hh"
@@ -37,6 +39,7 @@
 #include "deconv/transform.hh"
 #include "dnn/network.hh"
 #include "dnn/runtime.hh"
+#include "reference/conv_gemm_reference.hh"
 #include "tensor/conv.hh"
 #include "tensor/deconv.hh"
 #include "tensor/tensor.hh"
@@ -120,58 +123,182 @@ expectNear(const float *a, const float *b, size_t n, double rtol,
     }
 }
 
-// ---------------------------------------------------------------- gemmRow
+// --------------------------------------------------------------- gemmTile
 
-TEST(GemmRow, MatchesScalarAcrossShapes)
+constexpr int kMR = simd::kGemmTileRows;
+constexpr int kKC = tensor::kGemmKBlock;
+
+std::vector<const simd::Kernels *>
+vectorTables()
+{
+    std::vector<const simd::Kernels *> tables;
+    for (simd::Level level :
+         {simd::Level::Sse42, simd::Level::Avx2, simd::Level::Neon})
+        if (const simd::Kernels *t = simd::kernelsFor(level))
+            tables.push_back(t);
+    return tables;
+}
+
+/**
+ * A gemmTile result @p got against the scalar table's @p want, both
+ * m x n with leading dimension @p ldo, for the operands a/b (and the
+ * accumulated starting values @p init, or nullptr): bitwise on fused
+ * tables. The mul-then-add tolerance lane is held to the classical
+ * forward error bound instead — each of the two chains is within
+ * gamma_(k+1) * (|init| + sum |a b|) of the exact sum, so they differ
+ * by at most twice that.
+ */
+void
+expectTileAgrees(const simd::Kernels *t, const float *got,
+                 const float *want, int m, int n, int64_t ldo,
+                 const float *a, int64_t lda, const float *b,
+                 int64_t ldb, int k, const float *init,
+                 const std::string &what)
+{
+    for (int r = 0; r < m; ++r) {
+        if (t->fusedF32) {
+            expectBitEqual(got + r * ldo, want + r * ldo, size_t(n),
+                           what + " row " + std::to_string(r));
+            continue;
+        }
+        for (int j = 0; j < n; ++j) {
+            double mag = init ? std::abs(double(init[r * ldo + j])) : 0;
+            for (int i = 0; i < k; ++i)
+                mag += std::abs(double(a[r * lda + i]) * b[i * ldb + j]);
+            const double tol = 1.01 * (k + 1) * 0x1p-23 * mag;
+            ASSERT_NEAR(got[r * ldo + j], want[r * ldo + j], tol)
+                << what << " row " << r << " column " << j;
+        }
+    }
+}
+
+/** One gemmTile call on strided operands (lda, ldb, ldo all wider
+ *  than the tile) into an output pre-filled with @p fill. */
+std::vector<float>
+runTile(const simd::Kernels *t, const std::vector<float> &a, int64_t lda,
+        int m, int k, const std::vector<float> &b, int64_t ldb, int n,
+        int64_t ldo, float fill)
+{
+    std::vector<float> out(size_t(kMR) * size_t(ldo) + 3, fill);
+    t->gemmTile(a.data(), lda, m, k, b.data(), ldb, out.data(), ldo,
+                n, /*accumulate=*/false);
+    return out;
+}
+
+TEST(GemmTile, MatchesScalarAcrossShapes)
 {
     Rng rng(7);
     const simd::Kernels *scalar =
         simd::kernelsFor(simd::Level::Scalar);
     ASSERT_NE(scalar, nullptr);
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float guard = -777.0f;
 
-    for (int k : {1, 2, 3, 7, 16, 65}) {
-        for (int n : {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33,
-                      64}) {
-            const int64_t ldb = n + 3; // exercise ldb != n
-            const std::vector<float> a = randomVec(size_t(k), rng);
-            const std::vector<float> b =
-                randomVec(size_t(k) * size_t(ldb), rng);
-            std::vector<float> want(size_t(n), -777.0f);
-            scalar->gemmRow(a.data(), k, b.data(), ldb, want.data(),
-                            n);
-            for (const simd::Kernels *t :
-                 {simd::kernelsFor(simd::Level::Sse42),
-                  simd::kernelsFor(simd::Level::Avx2),
-                  simd::kernelsFor(simd::Level::Neon)}) {
-                if (!t)
-                    continue;
-                // Pre-poison: gemmRow writes, it must not accumulate.
-                std::vector<float> got(size_t(n), 1e30f);
-                t->gemmRow(a.data(), k, b.data(), ldb, got.data(),
-                           n);
-                const std::string what = std::string(t->name) +
-                                         " k=" + std::to_string(k) +
-                                         " n=" + std::to_string(n);
-                if (t->fusedF32) {
-                    expectBitEqual(got.data(), want.data(),
-                                   size_t(n), what);
-                } else {
-                    // Documented tolerance lane: two roundings per
-                    // step instead of one.
-                    expectNear(got.data(), want.data(), size_t(n),
-                               1e-5 * k, 1e-7, what);
+    std::vector<int> ns = {1, 2, 3, 4, 5, 6, 7, 30};
+    for (int j = 1; j <= 6; ++j)
+        for (int r : {0, 1, 5})
+            ns.push_back(8 * j + r);
+    for (int m = 1; m <= kMR; ++m) {
+        for (int k : {1, 7, kKC - 1, kKC, kKC + 1, 2 * kKC + 3}) {
+            for (int n : ns) {
+                const int64_t lda = k + 2;
+                const int64_t ldb = n + 3;
+                const int64_t ldo = n + 5;
+                const std::vector<float> a =
+                    randomVec(size_t(kMR) * size_t(lda), rng);
+                const std::vector<float> b =
+                    randomVec(size_t(k) * size_t(ldb), rng);
+                const std::vector<float> want =
+                    runTile(scalar, a, lda, m, k, b, ldb, n, ldo, guard);
+                for (const simd::Kernels *t : vectorTables()) {
+                    // Poisoned: gemmTile writes, it must not read out.
+                    const std::vector<float> got =
+                        runTile(t, a, lda, m, k, b, ldb, n, ldo, nan);
+                    const std::string what =
+                        std::string(t->name) + " m=" +
+                        std::to_string(m) + " k=" + std::to_string(k) +
+                        " n=" + std::to_string(n);
+                    expectTileAgrees(t, got.data(), want.data(), m, n,
+                                     ldo, a.data(), lda, b.data(), ldb,
+                                     k, nullptr, what);
+                    // Nothing outside the m x n tile is written.
+                    for (size_t i = 0; i < got.size(); ++i) {
+                        const bool in_tile =
+                            int64_t(i) < m * ldo &&
+                            int64_t(i) % ldo < n;
+                        if (!in_tile) {
+                            ASSERT_TRUE(std::isnan(got[i]))
+                                << what << ": wrote index " << i;
+                        }
+                    }
                 }
             }
         }
     }
 }
 
-TEST(GemmRow, NaNPositionsPropagate)
+TEST(GemmTile, AccumulateContinuesOneUnbrokenChain)
+{
+    Rng rng(9);
+    const int k = 2 * kKC + 3;
+    const int m = kMR;
+    for (int n : {5, 24, 30, 53}) {
+        const std::vector<float> a = randomVec(size_t(m) * k, rng);
+        const std::vector<float> b = randomVec(size_t(k) * n, rng);
+        const std::vector<float> init = randomVec(size_t(m) * n, rng);
+        for (const simd::Kernels *t :
+             {simd::kernelsFor(simd::Level::Scalar),
+              simd::kernelsFor(simd::Level::Sse42),
+              simd::kernelsFor(simd::Level::Avx2),
+              simd::kernelsFor(simd::Level::Neon)}) {
+            if (!t)
+                continue;
+            std::vector<float> whole(size_t(m) * n);
+            t->gemmTile(a.data(), k, m, k, b.data(), n, whole.data(), n,
+                        n, false);
+            // The conv route's k-blocks, and uneven splits: the first
+            // block writes, the rest continue from the stored float.
+            for (const std::vector<int> &cuts :
+                 {std::vector<int>{kKC, 2 * kKC}, std::vector<int>{1},
+                  std::vector<int>{5, 6, kKC + 1}}) {
+                std::vector<float> split(size_t(m) * n, 1e30f);
+                int i0 = 0;
+                for (size_t c = 0; c <= cuts.size(); ++c) {
+                    const int i1 = c < cuts.size() ? cuts[c] : k;
+                    t->gemmTile(a.data() + i0, k, m, i1 - i0,
+                                b.data() + int64_t(i0) * n, n,
+                                split.data(), n, n, i0 > 0);
+                    i0 = i1;
+                }
+                // Exact on every table, the tolerance lane included:
+                // a float partial is a float partial.
+                expectBitEqual(split.data(), whole.data(), split.size(),
+                               std::string(t->name) + " split n=" +
+                                   std::to_string(n));
+            }
+            // Accumulating onto arbitrary starting values is the
+            // scalar chain seeded with them.
+            std::vector<float> want = init;
+            simd::kernelsFor(simd::Level::Scalar)
+                ->gemmTile(a.data(), k, m, k, b.data(), n, want.data(),
+                           n, n, true);
+            std::vector<float> got = init;
+            t->gemmTile(a.data(), k, m, k, b.data(), n, got.data(), n, n,
+                        true);
+            expectTileAgrees(t, got.data(), want.data(), m, n, n,
+                             a.data(), k, b.data(), n, k, init.data(),
+                             std::string(t->name) + " seeded n=" +
+                                 std::to_string(n));
+        }
+    }
+}
+
+TEST(GemmTile, NaNPositionsPropagate)
 {
     Rng rng(11);
     const float nan = std::numeric_limits<float>::quiet_NaN();
     const int k = 9;
-    const int n = 13;
+    const int n = 29;
     for (const simd::Kernels *t :
          {simd::kernelsFor(simd::Level::Scalar),
           simd::kernelsFor(simd::Level::Sse42),
@@ -179,24 +306,33 @@ TEST(GemmRow, NaNPositionsPropagate)
           simd::kernelsFor(simd::Level::Neon)}) {
         if (!t)
             continue;
-        // NaN in one B column: only that output is NaN.
-        std::vector<float> a = randomVec(size_t(k), rng);
+        // NaN in one B column: only that column of every row is NaN.
+        std::vector<float> a = randomVec(size_t(kMR) * k, rng);
         std::vector<float> b = randomVec(size_t(k) * size_t(n), rng);
         b[size_t(3) * n + 5] = nan;
-        std::vector<float> out(static_cast<size_t>(n));
-        t->gemmRow(a.data(), k, b.data(), n, out.data(), n);
-        for (int j = 0; j < n; ++j)
-            EXPECT_EQ(j == 5, std::isnan(out[j]))
-                << t->name << " column " << j;
-        // NaN in A: every output is NaN.
-        a[2] = nan;
-        t->gemmRow(a.data(), k, b.data(), n, out.data(), n);
-        for (int j = 0; j < n; ++j)
-            EXPECT_TRUE(std::isnan(out[j])) << t->name << " " << j;
+        b[size_t(7) * n + 27] = nan; // in the masked tail
+        std::vector<float> out(size_t(kMR) * n);
+        t->gemmTile(a.data(), k, kMR, k, b.data(), n, out.data(), n, n,
+                    false);
+        for (int r = 0; r < kMR; ++r)
+            for (int j = 0; j < n; ++j)
+                EXPECT_EQ(j == 5 || j == 27,
+                          std::isnan(out[size_t(r) * n + j]))
+                    << t->name << " row " << r << " column " << j;
+        // NaN in one A row: every output of that row only.
+        b[size_t(3) * n + 5] = 0.5f;
+        b[size_t(7) * n + 27] = 0.5f;
+        a[size_t(2) * k + 4] = nan;
+        t->gemmTile(a.data(), k, kMR, k, b.data(), n, out.data(), n, n,
+                    false);
+        for (int r = 0; r < kMR; ++r)
+            for (int j = 0; j < n; ++j)
+                EXPECT_EQ(r == 2, std::isnan(out[size_t(r) * n + j]))
+                    << t->name << " row " << r << " column " << j;
     }
 }
 
-TEST(GemmRow, DenormalsStayExactOnFusedLanes)
+TEST(GemmTile, DenormalsStayExactOnFusedLanes)
 {
     Rng rng(13);
     const int k = 8;
@@ -204,13 +340,15 @@ TEST(GemmRow, DenormalsStayExactOnFusedLanes)
     // Products around 1e-39..1e-41: results live in the denormal
     // range. No FTZ/DAZ anywhere (no -ffast-math), so fused lanes
     // must still match the scalar chain bit-for-bit.
-    std::vector<float> a = randomVec(size_t(k), rng, 1e-20, 2e-20);
+    std::vector<float> a =
+        randomVec(size_t(kMR) * k, rng, 1e-20, 2e-20);
     std::vector<float> b =
         randomVec(size_t(k) * size_t(n), rng, -2e-20, 2e-20);
     const simd::Kernels *scalar =
         simd::kernelsFor(simd::Level::Scalar);
-    std::vector<float> want(static_cast<size_t>(n));
-    scalar->gemmRow(a.data(), k, b.data(), n, want.data(), n);
+    std::vector<float> want(size_t(kMR) * n);
+    scalar->gemmTile(a.data(), k, kMR, k, b.data(), n, want.data(), n,
+                     n, false);
     bool any_denormal = false;
     for (float w : want)
         any_denormal = any_denormal ||
@@ -219,19 +357,15 @@ TEST(GemmRow, DenormalsStayExactOnFusedLanes)
                                              float>::min());
     EXPECT_TRUE(any_denormal) << "test inputs failed to produce "
                                  "denormal outputs";
-    for (const simd::Kernels *t :
-         {simd::kernelsFor(simd::Level::Sse42),
-          simd::kernelsFor(simd::Level::Avx2),
-          simd::kernelsFor(simd::Level::Neon)}) {
-        if (!t)
-            continue;
-        std::vector<float> got(static_cast<size_t>(n));
-        t->gemmRow(a.data(), k, b.data(), n, got.data(), n);
+    for (const simd::Kernels *t : vectorTables()) {
+        std::vector<float> got(size_t(kMR) * n);
+        t->gemmTile(a.data(), k, kMR, k, b.data(), n, got.data(), n, n,
+                    false);
         if (t->fusedF32) {
-            expectBitEqual(got.data(), want.data(), size_t(n),
+            expectBitEqual(got.data(), want.data(), got.size(),
                            std::string(t->name) + " denormal");
         } else {
-            for (int j = 0; j < n; ++j)
+            for (size_t j = 0; j < got.size(); ++j)
                 EXPECT_NEAR(got[j], want[j], 1e-42)
                     << t->name << " " << j;
         }
@@ -415,6 +549,118 @@ TEST(ConvGemmRoute, CrossLevelAndThreadIdentity)
             }
         }
     }
+}
+
+/** One convNdInto case against the unblocked oracle. */
+struct RouteCase
+{
+    std::string name;
+    Shape in, w;
+    tensor::ConvSpec spec;
+};
+
+tensor::ConvSpec
+makeSpec(Shape stride, Shape pad_lo, Shape pad_hi)
+{
+    tensor::ConvSpec spec;
+    spec.stride = std::move(stride);
+    spec.padLo = std::move(pad_lo);
+    spec.padHi = std::move(pad_hi);
+    return spec;
+}
+
+std::vector<RouteCase>
+routeCases()
+{
+    using tensor::ConvSpec;
+    return {
+        // K = 1 head; R = 288 spans two k-blocks, P = 960 five panels.
+        {"k1_head", {32, 48, 20}, {1, 32, 3, 3}, ConvSpec::uniform(2, 1, 1)},
+        // K % MR != 0 and P = 6 < 8: one masked tail vector only.
+        {"k6_p6", {3, 2, 3}, {6, 3, 3, 3}, ConvSpec::uniform(2, 1, 1)},
+        // P = 30 (DispNet conv5 / upconv4 phases), R = 576 > 2 KC.
+        {"p30", {64, 6, 20}, {9, 64, 3, 3}, ConvSpec::uniform(2, 2, 1)},
+        // DispNet conv1 geometry: k7 s2 p3.
+        {"k7s2p3", {3, 19, 23}, {5, 3, 7, 7}, ConvSpec::uniform(2, 2, 3)},
+        // Stride 2 with padding beyond the kernel half: whole rows and
+        // column spans of some taps land in the padding.
+        {"s2_pad3", {2, 9, 11}, {4, 2, 3, 3}, ConvSpec::uniform(2, 2, 3)},
+        {"asym_pad", {3, 8, 9}, {7, 3, 3, 2},
+         makeSpec({2, 1}, {3, 0}, {1, 4})},
+        // Pointwise stride-1 unpadded: the direct route, R = 300.
+        {"direct", {300, 13, 17}, {7, 300, 1, 1},
+         ConvSpec::uniform(2, 1, 0)},
+        // Several panels with a ragged last one, K % MR = 1.
+        {"panels", {16, 20, 25}, {13, 16, 3, 3},
+         ConvSpec::uniform(2, 1, 1)},
+        {"1d", {5, 37}, {3, 5, 4}, ConvSpec::uniform(1, 3, 2)},
+        {"3d", {2, 5, 6, 7}, {5, 2, 3, 2, 3},
+         makeSpec({1, 2, 1}, {1, 0, 2}, {1, 1, 0})},
+    };
+}
+
+/** Runs every routeCases() entry through convNdInto at every
+ *  supported level and 1/2/4 workers, twice into the same poisoned
+ *  output; fused levels must memcmp-equal the oracle. */
+void
+checkRouteAgainstReference(bool with_epilogue)
+{
+    Rng rng(59);
+    for (const RouteCase &rc : routeCases()) {
+        const Tensor in = randomTensor(rc.in, rng);
+        const Tensor w = randomTensor(rc.w, rng);
+        const std::vector<float> bias =
+            randomVec(size_t(rc.w[0]), rng, -0.5, 0.5);
+        tensor::ConvEpilogue epi;
+        epi.bias = bias.data();
+        epi.relu = true;
+        const tensor::ConvEpilogue *ep =
+            with_epilogue ? &epi : nullptr;
+        const Tensor want =
+            tensor::reference::convGemm(in, w, rc.spec, ep);
+        int64_t reduction = rc.w[1];
+        for (size_t d = 2; d < rc.w.size(); ++d)
+            reduction *= rc.w[d];
+        for (simd::Level level : supportedLevels()) {
+            LevelGuard g(level);
+            const bool fused = simd::kernelsFor(level)->fusedF32;
+            for (int threads : {1, 2, 4}) {
+                ThreadPool pool(threads);
+                BufferPool buffers;
+                const ExecContext ctx(pool, buffers);
+                Tensor got(want.shape());
+                for (int rep = 0; rep < 2; ++rep) {
+                    got.fill(std::numeric_limits<float>::quiet_NaN());
+                    tensor::convNdInto(in, w, rc.spec, ep, ctx, got);
+                    const std::string what =
+                        rc.name + " " + simd::levelName(level) +
+                        " threads=" + std::to_string(threads);
+                    if (fused) {
+                        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                              size_t(got.size()) *
+                                                  sizeof(float)),
+                                  0)
+                            << what;
+                    } else {
+                        expectNear(got.data(), want.data(),
+                                   size_t(got.size()),
+                                   1e-5 * double(reduction), 1e-6,
+                                   what);
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(ConvGemmRoute, MatchesReferenceBitwiseOnFusedLevels)
+{
+    checkRouteAgainstReference(/*with_epilogue=*/false);
+}
+
+TEST(ConvGemmRoute, MatchesReferenceWithEpilogue)
+{
+    checkRouteAgainstReference(/*with_epilogue=*/true);
 }
 
 // ------------------------------------------------------- transformedDeconv
