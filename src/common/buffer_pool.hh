@@ -326,6 +326,45 @@ class BufferPool
     std::shared_ptr<detail::PoolState> state_;
 };
 
+/**
+ * Per-chunk (or per-band) scratch rows of n elements each, drawn
+ * from one pooled buffer: every row starts on its own cache line and
+ * is padded to whole lines, so threads writing different rows never
+ * contend for a line. Acquire before a fan-out and index by chunk.
+ */
+template <typename T>
+class LineRows
+{
+  public:
+    static constexpr size_t kLineBytes = 64;
+
+    LineRows(size_t rows, size_t n, BufferPool &pool)
+        : stride_(lineElems(n)),
+          buf_(pool.acquire<T>(rows * stride_ + kLineBytes / sizeof(T)))
+    {
+        // Pool storage is only malloc-aligned: skip to the first line
+        // boundary (the spare line above pays for it).
+        const uintptr_t p = reinterpret_cast<uintptr_t>(buf_.data());
+        base_ = buf_.data() +
+                ((kLineBytes - p % kLineBytes) % kLineBytes) / sizeof(T);
+    }
+
+    /** @p n elements rounded up to whole cache lines. */
+    static constexpr size_t
+    lineElems(size_t n)
+    {
+        constexpr size_t per = kLineBytes / sizeof(T);
+        return (n + per - 1) / per * per;
+    }
+
+    T *row(size_t i) { return base_ + i * stride_; }
+
+  private:
+    size_t stride_;
+    PoolHandle<T> buf_;
+    T *base_;
+};
+
 } // namespace asv
 
 #endif // ASV_COMMON_BUFFER_POOL_HH

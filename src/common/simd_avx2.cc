@@ -3,10 +3,10 @@
  * AVX2 kernel table: 8-wide census bit-packing, popcount-by-nibble
  * (PSHUFB lookup + SAD reduction) Hamming rows over 4x64-bit lanes,
  * 8-wide (two 4-lane double accumulators) SAD spans, 16-lane
- * saturating-uint16 SGM aggregation rows, and the 4 x 24 register-
- * blocked FMA f32 GEMM tile + bias/ReLU epilogue for the DNN path
- * (bit-identical to the scalar std::fmaf reference when built with
- * FMA).
+ * saturating-uint16 SGM aggregation rows, the POPCNT fused cost row
+ * it shares with SSE4.2, and the 4 x 24 register-blocked FMA f32
+ * GEMM tile + bias/ReLU epilogue for the DNN path (bit-identical to
+ * the scalar std::fmaf reference when built with FMA).
  *
  * Compiled with -mavx2 -mfma -mpopcnt (see CMakeLists); degrades to
  * a nullptr getter without AVX2.
@@ -224,46 +224,7 @@ void
 costRowAvx2(const uint64_t *cl, const uint64_t *cr, int w, int nd,
             uint16_t *out)
 {
-    // Left-border pixels whose candidate window clamps to column 0
-    // take the shared reference loop; interior pixels popcount 4
-    // candidates per iteration by nibble lookup + SAD reduction.
-    // Candidate d reads cr[x - d] — descending addresses — so
-    // the ascending 4x64-bit load is stored back lane-reversed.
-    const __m256i lut = _mm256_setr_epi8(
-        0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1, 1, 2,
-        1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-    const __m256i low = _mm256_set1_epi8(0x0f);
-    const __m256i zero = _mm256_setzero_si256();
-    const int x_interior = std::min(nd - 1, w);
-    costRowRef(cl, cr, nd, 0, x_interior, out);
-    for (int x = x_interior; x < w; ++x) {
-        const __m256i c = _mm256_set1_epi64x(int64_t(cl[x]));
-        const uint64_t *r = cr + x;
-        uint16_t *o = out + size_t(x) * size_t(nd);
-        int d = 0;
-        for (; d + 4 <= nd; d += 4) {
-            const __m256i rv = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(r - d - 3));
-            const __m256i v = _mm256_xor_si256(c, rv);
-            const __m256i nlo = _mm256_and_si256(v, low);
-            const __m256i nhi =
-                _mm256_and_si256(_mm256_srli_epi64(v, 4), low);
-            const __m256i cnt =
-                _mm256_add_epi8(_mm256_shuffle_epi8(lut, nlo),
-                                _mm256_shuffle_epi8(lut, nhi));
-            const __m256i sums = _mm256_sad_epu8(cnt, zero);
-            alignas(32) uint64_t tmp[4];
-            _mm256_store_si256(reinterpret_cast<__m256i *>(tmp),
-                               sums);
-            o[d] = static_cast<uint16_t>(tmp[3]);
-            o[d + 1] = static_cast<uint16_t>(tmp[2]);
-            o[d + 2] = static_cast<uint16_t>(tmp[1]);
-            o[d + 3] = static_cast<uint16_t>(tmp[0]);
-        }
-        for (; d < nd; ++d)
-            o[d] = static_cast<uint16_t>(
-                _mm_popcnt_u64(cl[x] ^ r[-d]));
-    }
+    costRowPopcount(cl, cr, w, nd, out);
 }
 
 #if defined(__FMA__)

@@ -20,6 +20,13 @@
  * the DNN path — spells its fusion out with std::fmaf (correctly
  * rounded by definition, never silently contracted or split), so it
  * too is flag-independent; see docs/KERNELS.md for the f32 contract.
+ *
+ * Everything here sits in an unnamed namespace, so each per-ISA
+ * translation unit compiles and keeps its own copy under its own
+ * target flags. With external linkage, the linker would keep one
+ * out-of-line copy per function for the whole program — possibly the
+ * one built with -mavx2 — and hand it to the scalar or SSE4.2 table
+ * too, which faults on a host without AVX2.
  */
 
 #ifndef ASV_COMMON_SIMD_REFERENCE_HH
@@ -31,6 +38,9 @@
 #include <cstdint>
 
 namespace asv::simd::detail
+{
+
+namespace
 {
 
 /** Census bit-pack of pixels [x0, x1); see CensusRowFn. */
@@ -145,6 +155,41 @@ costRowRef(const uint64_t *cl, const uint64_t *cr, int nd, int x0,
 }
 
 /**
+ * costRow by one popcount per candidate, shared by the SSE4.2 and
+ * AVX2 tables: left-border pixels take costRowRef, interior pixels
+ * run an unrolled sweep over descending right-census addresses
+ * (candidate d reads cr[x - d]). In a translation unit built with
+ * -mpopcnt, std::popcount is the POPCNT instruction. A 4 x 64-bit
+ * nibble-lookup body measured slower than this on AVX2 hosts: its
+ * per-4-candidate store and lane-reversed scalar writes cost more
+ * than four POPCNTs.
+ */
+inline void
+costRowPopcount(const uint64_t *cl, const uint64_t *cr, int w, int nd,
+                uint16_t *out)
+{
+    const int x_interior = std::min(nd - 1, w);
+    costRowRef(cl, cr, nd, 0, x_interior, out);
+    for (int x = x_interior; x < w; ++x) {
+        const uint64_t c = cl[x];
+        const uint64_t *r = cr + x;
+        uint16_t *o = out + size_t(x) * size_t(nd);
+        int d = 0;
+        for (; d + 4 <= nd; d += 4) {
+            o[d] = static_cast<uint16_t>(std::popcount(c ^ r[-d]));
+            o[d + 1] =
+                static_cast<uint16_t>(std::popcount(c ^ r[-d - 1]));
+            o[d + 2] =
+                static_cast<uint16_t>(std::popcount(c ^ r[-d - 2]));
+            o[d + 3] =
+                static_cast<uint16_t>(std::popcount(c ^ r[-d - 3]));
+        }
+        for (; d < nd; ++d)
+            o[d] = static_cast<uint16_t>(std::popcount(c ^ r[-d]));
+    }
+}
+
+/**
  * f32 GEMM tile; see GemmTileFn. Each output is an independent
  * fused-multiply-add chain over i ascending, starting from +0.0f (or,
  * with @p accumulate, from the float already in @p out) — the
@@ -186,6 +231,8 @@ biasReluRowRef(float *out, int j0, int j1, float bias, bool relu)
         out[j] = relu ? (v > 0.0f ? v : 0.0f) : v;
     }
 }
+
+} // namespace
 
 } // namespace asv::simd::detail
 

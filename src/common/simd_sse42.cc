@@ -169,29 +169,7 @@ void
 costRowSse42(const uint64_t *cl, const uint64_t *cr, int w, int nd,
              uint16_t *out)
 {
-    // Left-border pixels whose candidate window clamps to column 0
-    // take the shared reference loop; interior pixels run an
-    // unrolled hardware-POPCNT sweep over descending right-census
-    // addresses (candidate d reads cr[x - d]).
-    const int x_interior = std::min(nd - 1, w);
-    costRowRef(cl, cr, nd, 0, x_interior, out);
-    for (int x = x_interior; x < w; ++x) {
-        const uint64_t c = cl[x];
-        const uint64_t *r = cr + x;
-        uint16_t *o = out + size_t(x) * size_t(nd);
-        int d = 0;
-        for (; d + 4 <= nd; d += 4) {
-            o[d] = static_cast<uint16_t>(_mm_popcnt_u64(c ^ r[-d]));
-            o[d + 1] = static_cast<uint16_t>(
-                _mm_popcnt_u64(c ^ r[-d - 1]));
-            o[d + 2] = static_cast<uint16_t>(
-                _mm_popcnt_u64(c ^ r[-d - 2]));
-            o[d + 3] = static_cast<uint16_t>(
-                _mm_popcnt_u64(c ^ r[-d - 3]));
-        }
-        for (; d < nd; ++d)
-            o[d] = static_cast<uint16_t>(_mm_popcnt_u64(c ^ r[-d]));
-    }
+    costRowPopcount(cl, cr, w, nd, out);
 }
 
 /** Loads lanes [0, lanes) of a 4-lane vector, +0 above; never
@@ -362,7 +340,7 @@ biasReluRowSse42(float *out, int n, float bias, bool relu)
 constexpr Kernels kSse42Kernels = {
     "sse42",         Level::Sse42, censusRowSse42,
     hammingRowSse42, sadSpanSse42, aggregateRowSse42,
-    costRowSse42,    gemmTileSse42, biasReluRowSse42,
+    costRowSse42,   gemmTileSse42, biasReluRowSse42,
     /*fusedF32=*/false,
 };
 

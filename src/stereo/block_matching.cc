@@ -35,24 +35,12 @@ blockSad(const image::Image &left, const image::Image &right, int x,
 /**
  * Per-row state for the SAD search: the y-clamped row base pointers
  * both images share for a given center row, plus the dispatched
- * kernel table. Built once per row by the row-parallel drivers; the
- * pointer arrays live in pooled per-chunk scratch so a warm search
- * allocates nothing.
+ * kernel table. The pointer arrays live in per-chunk scratch.
  */
 struct SadRowContext
 {
-    PoolHandle<const float *> storage;
     const float **lrows, **rrows;
     const simd::Kernels *kernels;
-
-    SadRowContext(int radius, const simd::Kernels &k,
-                  BufferPool &pool)
-        : storage(pool.acquire<const float *>(
-              size_t(2 * (2 * radius + 1)))),
-          lrows(storage.data()),
-          rrows(storage.data() + (2 * radius + 1)), kernels(&k)
-    {
-    }
 
     void
     setRow(const image::Image &left, const image::Image &right,
@@ -66,6 +54,39 @@ struct SadRowContext
             rrows[dy + radius] = right.data() + row;
         }
     }
+};
+
+/**
+ * Per-chunk SAD search scratch (row pointers + one candidate-cost
+ * span), acquired before the row fan-out: acquiring inside the
+ * worker lambdas would make the number of live same-shape buffers —
+ * and with it the steady-state pool miss count — depend on how many
+ * chunks happened to run at once.
+ */
+class SadScratch
+{
+  public:
+    SadScratch(const BlockMatchingParams &params, const ExecContext &ctx)
+        : taps_(size_t(2 * params.blockRadius + 1)),
+          rows_(size_t(ctx.numThreads()), 2 * taps_, ctx.buffers()),
+          costs_(size_t(ctx.numThreads()),
+                 size_t(params.maxDisparity + 1), ctx.buffers())
+    {
+    }
+
+    SadRowContext
+    rows(int chunk, const simd::Kernels &k)
+    {
+        const float **p = rows_.row(size_t(chunk));
+        return {p, p + taps_, &k};
+    }
+
+    double *costs(int chunk) { return costs_.row(size_t(chunk)); }
+
+  private:
+    size_t taps_;
+    LineRows<const float *> rows_;
+    LineRows<double> costs_;
 };
 
 /**
@@ -196,18 +217,18 @@ blockMatching(const image::Image &left, const image::Image &right,
         ctx.buffers(), left.width(), left.height());
     const simd::Kernels &kernels = simd::kernels();
     // Pixels are independent; partition the SAD search by row.
-    ctx.parallelFor(0, left.height(), [&](int64_t y0, int64_t y1) {
-        SadRowContext rows(params.blockRadius, kernels,
-                           ctx.buffers());
-        auto costs = ctx.buffers().acquire<double>(
-            size_t(params.maxDisparity + 1));
+    SadScratch scratch(params, ctx);
+    ctx.parallelForChunks(0, left.height(), [&](int64_t y0, int64_t y1,
+                                                int c) {
+        SadRowContext rows = scratch.rows(c, kernels);
+        double *costs = scratch.costs(c);
         for (int y = int(y0); y < int(y1); ++y) {
             rows.setRow(left, right, params.blockRadius, y);
             for (int x = 0; x < left.width(); ++x) {
                 const int d_hi = std::min(params.maxDisparity, x);
                 disp.at(x, y) =
                     matchPixel(left, right, x, y, 0, d_hi, params,
-                               rows, costs.data());
+                               rows, costs);
             }
         }
     });
@@ -238,11 +259,11 @@ refineDisparity(const image::Image &left, const image::Image &right,
     DisparityMap disp = image::acquireImageUninit(
         ctx.buffers(), left.width(), left.height());
     const simd::Kernels &kernels = simd::kernels();
-    ctx.parallelFor(0, left.height(), [&](int64_t y0, int64_t y1) {
-        SadRowContext rows(params.blockRadius, kernels,
-                           ctx.buffers());
-        auto costs = ctx.buffers().acquire<double>(
-            size_t(params.maxDisparity + 1));
+    SadScratch scratch(params, ctx);
+    ctx.parallelForChunks(0, left.height(), [&](int64_t y0, int64_t y1,
+                                                int c) {
+        SadRowContext rows = scratch.rows(c, kernels);
+        double *costs = scratch.costs(c);
         for (int y = int(y0); y < int(y1); ++y) {
             rows.setRow(left, right, params.blockRadius, y);
             for (int x = 0; x < left.width(); ++x) {
@@ -262,7 +283,7 @@ refineDisparity(const image::Image &left, const image::Image &right,
                 }
                 disp.at(x, y) =
                     matchPixel(left, right, x, y, d_lo, d_hi, params,
-                               rows, costs.data());
+                               rows, costs);
             }
         }
     });

@@ -1,8 +1,11 @@
 #include "stereo/sgm.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <thread>
 #include <utility>
 
 #include "common/logging.hh"
@@ -38,32 +41,33 @@ startRow(const uint16_t *cost_px, int nd, uint16_t *cur,
  * Per-path L_r scratch rows padded with the 0xFFFF neighbor
  * sentinels the aggregateRow kernel contract requires at prev[-1]
  * and prev[nd]. The kernel only ever writes cur[0..nd), so the
- * sentinels set at construction survive every swap. Storage comes
+ * sentinels set at construction survive every row. Storage comes
  * from the context's BufferPool: recycled contents are re-sentineled
  * here, so a recycled scratch is indistinguishable from a fresh one.
+ * With @p own_lines every path's row owns whole cache lines (the
+ * per-chunk ping-pong rows, written at every pixel step by
+ * concurrent chunks); otherwise rows are packed at stride nd + 2.
  */
 class PathScratch
 {
   public:
-    PathScratch(int nd, int64_t paths, BufferPool &pool)
-        : stride_(nd + 2),
-          buf_(pool.acquire<uint16_t>(size_t(stride_ * paths)))
+    PathScratch(int nd, int64_t paths, BufferPool &pool,
+                bool own_lines = false)
+        : stride_(own_lines
+                      ? int64_t(LineRows<uint16_t>::lineElems(nd + 2))
+                      : nd + 2),
+          rows_(1, size_t(stride_ * paths), pool)
     {
-        std::fill(buf_.data(), buf_.data() + buf_.size(),
+        std::fill(rows_.row(0), rows_.row(0) + stride_ * paths,
                   uint16_t(0xFFFF));
     }
 
     /** Interior (length-nd) slice of path @p i. */
-    uint16_t *row(int64_t i) { return buf_.data() + i * stride_ + 1; }
-
-    void swap(PathScratch &other)
-    {
-        buf_.swap(other.buf_);
-    }
+    uint16_t *row(int64_t i) { return rows_.row(0) + i * stride_ + 1; }
 
   private:
     int64_t stride_;
-    PoolHandle<uint16_t> buf_;
+    LineRows<uint16_t> rows_;
 };
 
 float
@@ -136,6 +140,17 @@ validateSgmParams(const SgmParams &p)
              "SGM paths must be 4, 5, or 8");
 }
 
+/** One spin-wait step: a CPU pause hint (no-op where unknown). */
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+}
+
 /**
  * Fused, tiled, streaming SGM. Census and Hamming cost rows are
  * generated on the fly inside the aggregation wavefronts (the
@@ -154,9 +169,9 @@ validateSgmParams(const SgmParams &p)
  * + uint32 total volumes). The up sweep regenerates the cost rows,
  * adds the two horizontal paths and the three up directions, widens
  * in the down-volume row — completing the exact 8-direction uint32
- * total — and finalizes each row immediately: WTA + sub-pixel + the
- * left-right check, which is per-row because the right image's
- * disparity at xr is argmin_d total(xr + d, y, d) in the same row.
+ * total — and finalizes each row: WTA + sub-pixel, then the
+ * left-right check, which needs only the row's own totals because
+ * the right image's disparity at xr is argmin_d total(xr + d, y, d).
  * Integer sums are order-independent and every directional
  * recurrence replays the classic per-direction start conditions, so
  * the result is bit-identical to the materialized reference
@@ -167,12 +182,26 @@ validateSgmParams(const SgmParams &p)
  * ((1,0) + optional (-1,0) backward pass at paths=5) and finalize
  * per row — zero resident volume, one pass over the image.
  *
- * Rows are processed in tiles: the cost-row and horizontal stages
- * fan out over a tile's rows (amortizing launch overhead and keeping
- * the tile's cost/total rows cache-resident for the wavefront
- * stage), then the wavefront stage walks the tile's rows serially
- * with pixel-parallel rows (a diagonal predecessor lies in the
- * previous row).
+ * Rows are processed in tiles of a constant number of fork-joins:
+ *  1. cost rows + horizontal paths fan out over the tile's rows
+ *     (independent 1-D work; the tile's cost/total rows stay
+ *     cache-resident for the next stages);
+ *  2. the wavefront runs as one job over (row, band) cells. The
+ *     width is split into B = min(workers, w) static column bands;
+ *     participants claim cells in row-major order from one atomic
+ *     counter, and cell (i, b) first waits until bands b-1, b, b+1
+ *     have published row i-1 (a diagonal predecessor lies one
+ *     column over, in the previous row). Every cell waited on was
+ *     claimed earlier by a thread that is running it, so the job
+ *     needs no barrier and cannot deadlock — with the caller as the
+ *     only participant (a nested call, or every worker busy) it is
+ *     exactly the serial row loop. Bands are static and every pixel
+ *     runs the same recurrences, so the schedule cannot change a
+ *     bit;
+ *  3. the left-right check fans out over the tile's rows, whose
+ *     totals are still resident.
+ * Neighbouring bands are never more than one row apart, so each
+ * direction keeps two L_r rows indexed by row parity.
  */
 template <typename TDown>
 class StreamingSgm
@@ -191,12 +220,14 @@ class StreamingSgm
           total_tile_(ctx.buffers().acquire<uint32_t>(
               size_t(int64_t(tile_rows_) * w_ * nd_))),
           chunks_(ctx.pool().numThreads()),
-          census_rows_(ctx.buffers().acquire<const float *>(
-              size_t(chunks_) *
-              size_t(2 * params.censusRadius + 1))),
-          census_codes_(ctx.buffers().acquire<uint64_t>(
-              size_t(2 * chunks_) * size_t(w_))),
-          horiz_scratch_(nd_, 2 * chunks_, ctx.buffers())
+          bands_(std::max(1, std::min(chunks_, w_))),
+          census_rows_(size_t(chunks_),
+                       size_t(2 * params.censusRadius + 1),
+                       ctx.buffers()),
+          census_codes_(size_t(2 * chunks_), size_t(w_),
+                        ctx.buffers()),
+          horiz_scratch_(nd_, 2 * chunks_, ctx.buffers(), true),
+          band_rows_(size_t(bands_), 1, ctx.buffers())
     {
         if (p_.paths == 8)
             down_vol_ = ctx.buffers().acquire<TDown>(
@@ -209,10 +240,12 @@ class StreamingSgm
         DisparityMap disp =
             image::acquireImageUninit(ctx_.buffers(), w_, h_);
         if (p_.paths == 8) {
-            sweep(+1, false, false, false, true, nullptr);
-            sweep(-1, true, true, true, false, &disp);
+            sweep({.dy = +1, .store_down = true});
+            sweep({.dy = -1, .horiz_lr = true, .horiz_rl = true,
+                   .add_down = true, .disp = &disp});
         } else {
-            sweep(+1, true, p_.paths == 5, false, false, &disp);
+            sweep({.dy = +1, .horiz_lr = true,
+                   .horiz_rl = p_.paths == 5, .disp = &disp});
         }
         return disp;
     }
@@ -232,26 +265,38 @@ class StreamingSgm
         return int(clamp(t, int64_t(2), int64_t(64)));
     }
 
-    /** Wavefront state of one dy-direction (dx in {0, 1, -1}). */
+    /**
+     * Wavefront state of one dy-direction (dx in {0, 1, -1}): the L_r
+     * rows and per-pixel minima of the last two rows, slot i & 1
+     * holding row i.
+     */
     struct DirState
     {
         int dx;
-        PathScratch prev, cur;
-        PoolHandle<uint16_t> prev_min, cur_min;
+        PathScratch rows[2];
+        PoolHandle<uint16_t> mins[2];
 
         DirState(int nd, int w, int dx_, BufferPool &pool)
-            : dx(dx_), prev(nd, w, pool), cur(nd, w, pool),
-              prev_min(pool.acquireZeroed<uint16_t>(size_t(w))),
-              cur_min(pool.acquireZeroed<uint16_t>(size_t(w)))
+            : dx(dx_), rows{PathScratch(nd, w, pool),
+                            PathScratch(nd, w, pool)},
+              mins{pool.acquireZeroed<uint16_t>(size_t(w)),
+                   pool.acquireZeroed<uint16_t>(size_t(w))}
         {
         }
+    };
 
-        void
-        advance()
-        {
-            prev.swap(cur);
-            prev_min.swap(cur_min);
-        }
+    /** What one sweep adds, stores and finalizes per pixel. */
+    struct SweepSpec
+    {
+        int dy;                  //!< +1 top to bottom, -1 bottom up
+        bool horiz_lr = false;   //!< add the (1, 0) path (stage 1)
+        bool horiz_rl = false;   //!< add the (-1, 0) path (stage 1)
+        bool add_down = false;   //!< widen in the down volume
+        bool store_down = false; //!< narrow out the down volume
+        DisparityMap *disp = nullptr; //!< finalize rows into it
+
+        int y(int i, int h) const { return dy > 0 ? i : h - 1 - i; }
+        bool hasHoriz() const { return horiz_lr || horiz_rl; }
     };
 
     uint16_t *
@@ -263,28 +308,6 @@ class StreamingSgm
     totalRow(int slot)
     {
         return total_tile_.data() + int64_t(slot) * w_ * nd_;
-    }
-
-    /** Stage A: fused census + pixel-major cost rows of one tile. */
-    void
-    stageCostRows(int i0, int i1, int y_begin, int dy)
-    {
-        ctx_.parallelForChunks(i0, i1, [&](int64_t a, int64_t b,
-                                           int c) {
-            const float **rows =
-                census_rows_.data() +
-                size_t(c) * size_t(2 * p_.censusRadius + 1);
-            uint64_t *cl = census_codes_.data() + int64_t(2 * c) * w_;
-            uint64_t *cr = cl + w_;
-            for (int i = int(a); i < int(b); ++i) {
-                const int y = y_begin + i * dy;
-                censusLineInto(left_, p_.censusRadius, y, k_, rows,
-                               cl);
-                censusLineInto(right_, p_.censusRadius, y, k_, rows,
-                               cr);
-                k_.costRow(cl, cr, w_, nd_, costRow(i - i0));
-            }
-        });
     }
 
     /** One horizontal 1-D path over a pixel-major row. */
@@ -305,157 +328,239 @@ class StreamingSgm
     }
 
     /**
-     * Stage B: zero a tile's total rows and add the horizontal
-     * path(s). Rows are independent 1-D paths, so the tile fans out.
+     * Stage 1: fused census + pixel-major cost rows of one tile and,
+     * when the sweep has them, the horizontal path(s) into freshly
+     * zeroed total rows. Rows are independent, so the tile fans out.
      */
     void
-    stageHorizontal(int i0, int i1, bool lr_pass, bool rl_pass)
+    stageRows(int i0, int i1, const SweepSpec &sw)
     {
         ctx_.parallelForChunks(i0, i1, [&](int64_t a, int64_t b,
                                            int c) {
+            const float **rows = census_rows_.row(size_t(c));
+            uint64_t *cl = census_codes_.row(size_t(2 * c));
+            uint64_t *cr = census_codes_.row(size_t(2 * c + 1));
             uint16_t *s0 = horiz_scratch_.row(2 * c);
             uint16_t *s1 = horiz_scratch_.row(2 * c + 1);
             for (int i = int(a); i < int(b); ++i) {
-                const uint16_t *cost = costRow(i - i0);
+                const int y = sw.y(i, h_);
+                uint16_t *cost = costRow(i - i0);
+                censusLineInto(left_, p_.censusRadius, y, k_, rows,
+                               cl);
+                censusLineInto(right_, p_.censusRadius, y, k_, rows,
+                               cr);
+                k_.costRow(cl, cr, w_, nd_, cost);
+                if (!sw.hasHoriz())
+                    continue;
                 uint32_t *tot = totalRow(i - i0);
                 std::fill(tot, tot + int64_t(w_) * nd_, 0u);
-                if (lr_pass)
+                if (sw.horiz_lr)
                     horizontalScan(cost, tot, +1, s0, s1);
-                if (rl_pass)
+                if (sw.horiz_rl)
                     horizontalScan(cost, tot, -1, s0, s1);
             }
         });
     }
 
     /**
-     * One full sweep in row direction @p dy. Aggregates the three
-     * dy-direction wavefront paths (plus horizontals when requested)
-     * over every row; optionally widens in (add_down) or narrows out
-     * (store_down) the down volume; finalizes rows (WTA + sub-pixel
-     * + LR check) when @p disp is non-null.
+     * Stage 2, one cell: the three dy-direction paths of sweep row
+     * @p i (tile slot @p slot) over columns [x0, x1), then the
+     * down-volume update and the row's WTA + sub-pixel.
      */
     void
-    sweep(int dy, bool horiz_lr, bool horiz_rl, bool add_down,
-          bool store_down, DisparityMap *disp)
+    wavefrontCell(DirState *dirs, const SweepSpec &sw, int i, int slot,
+                  int x0, int x1)
     {
-        DirState dirs[3] = {DirState(nd_, w_, 0, ctx_.buffers()),
-                            DirState(nd_, w_, 1, ctx_.buffers()),
-                            DirState(nd_, w_, -1, ctx_.buffers())};
-        const bool lr = disp != nullptr && p_.leftRightCheck;
-        PoolHandle<float> right_disp;
-        if (lr)
-            right_disp = ctx_.buffers().acquire<float>(size_t(w_));
-        const bool has_horiz = horiz_lr || horiz_rl;
-        const int y_begin = dy > 0 ? 0 : h_ - 1;
-        for (int i0 = 0; i0 < h_; i0 += tile_rows_) {
-            const int i1 = std::min(i0 + tile_rows_, h_);
-            stageCostRows(i0, i1, y_begin, dy);
-            if (has_horiz)
-                stageHorizontal(i0, i1, horiz_lr, horiz_rl);
-            for (int i = i0; i < i1; ++i) {
-                const int y = y_begin + i * dy;
-                const bool first_row = i == 0;
-                const uint16_t *cost = costRow(i - i0);
-                uint32_t *tot = totalRow(i - i0);
-                TDown *down = add_down || store_down
-                                  ? down_vol_.data() +
-                                        int64_t(y) * w_ * nd_
-                                  : nullptr;
-                const TDown *down_row = add_down ? down : nullptr;
-                TDown *down_out = store_down ? down : nullptr;
-                ctx_.parallelFor(0, w_, [&](int64_t a, int64_t b) {
-                    for (int x = int(a); x < int(b); ++x) {
-                        const uint16_t *cost_x =
-                            cost + int64_t(x) * nd_;
-                        uint32_t *tot_x = tot + int64_t(x) * nd_;
-                        if (!has_horiz)
-                            std::fill(tot_x, tot_x + nd_, 0u);
-                        if (down_row != nullptr) {
-                            const TDown *dr =
-                                down_row + int64_t(x) * nd_;
-                            for (int d = 0; d < nd_; ++d)
-                                tot_x[d] += uint32_t(dr[d]);
-                        }
-                        for (DirState &s : dirs) {
-                            uint16_t *c = s.cur.row(x);
-                            const int px = x - s.dx;
-                            if (first_row || px < 0 || px >= w_) {
-                                s.cur_min[size_t(x)] =
-                                    startRow(cost_x, nd_, c, tot_x);
-                            } else {
-                                s.cur_min[size_t(x)] = k_.aggregateRow(
-                                    cost_x, s.prev.row(px),
-                                    s.prev_min[size_t(px)], nd_, p1_,
-                                    p2_, c, tot_x);
-                            }
-                        }
-                        if (down_out != nullptr) {
-                            TDown *dr = down_out + int64_t(x) * nd_;
-                            for (int d = 0; d < nd_; ++d)
-                                dr[d] = TDown(tot_x[d]);
-                        }
-                        if (disp != nullptr) {
-                            uint32_t best = tot_x[0];
-                            int bd = 0;
-                            for (int d = 1; d < nd_; ++d) {
-                                if (tot_x[d] < best) {
-                                    best = tot_x[d];
-                                    bd = d;
-                                }
-                            }
-                            float dv = float(bd);
-                            if (p_.subpixel && bd > 0 && bd + 1 < nd_) {
-                                dv += subpixelOffset(tot_x[bd - 1],
-                                                     tot_x[bd],
-                                                     tot_x[bd + 1]);
-                            }
-                            disp->at(x, y) = dv;
-                        }
+        const int y = sw.y(i, h_);
+        const bool first_row = i == 0;
+        const int cur = i & 1, prev = cur ^ 1;
+        const uint16_t *cost = costRow(slot);
+        uint32_t *tot = totalRow(slot);
+        const int64_t row_off = int64_t(y) * w_ * nd_;
+        const TDown *down_in =
+            sw.add_down ? down_vol_.data() + row_off : nullptr;
+        TDown *down_out =
+            sw.store_down ? down_vol_.data() + row_off : nullptr;
+        for (int x = x0; x < x1; ++x) {
+            const uint16_t *cost_x = cost + int64_t(x) * nd_;
+            uint32_t *tot_x = tot + int64_t(x) * nd_;
+            if (!sw.hasHoriz())
+                std::fill(tot_x, tot_x + nd_, 0u);
+            if (down_in != nullptr) {
+                const TDown *dr = down_in + int64_t(x) * nd_;
+                for (int d = 0; d < nd_; ++d)
+                    tot_x[d] += uint32_t(dr[d]);
+            }
+            for (int s = 0; s < 3; ++s) {
+                DirState &ds = dirs[s];
+                uint16_t *c = ds.rows[cur].row(x);
+                const int px = x - ds.dx;
+                if (first_row || px < 0 || px >= w_) {
+                    ds.mins[cur][size_t(x)] =
+                        startRow(cost_x, nd_, c, tot_x);
+                } else {
+                    ds.mins[cur][size_t(x)] = k_.aggregateRow(
+                        cost_x, ds.rows[prev].row(px),
+                        ds.mins[prev][size_t(px)], nd_, p1_, p2_, c,
+                        tot_x);
+                }
+            }
+            if (down_out != nullptr) {
+                TDown *dr = down_out + int64_t(x) * nd_;
+                for (int d = 0; d < nd_; ++d)
+                    dr[d] = TDown(tot_x[d]);
+            }
+            if (sw.disp != nullptr) {
+                uint32_t best = tot_x[0];
+                int bd = 0;
+                for (int d = 1; d < nd_; ++d) {
+                    if (tot_x[d] < best) {
+                        best = tot_x[d];
+                        bd = d;
                     }
-                });
-                if (lr)
-                    leftRightCheckRow(*disp, right_disp.data(), tot, y);
-                for (DirState &s : dirs)
-                    s.advance();
+                }
+                float dv = float(bd);
+                if (p_.subpixel && bd > 0 && bd + 1 < nd_) {
+                    dv += subpixelOffset(tot_x[bd - 1], tot_x[bd],
+                                         tot_x[bd + 1]);
+                }
+                sw.disp->at(x, y) = dv;
             }
         }
     }
 
+    /** Band @p b's published-row counter (rows of the sweep done). */
+    std::atomic_ref<uint32_t>
+    bandRows(int b)
+    {
+        return std::atomic_ref<uint32_t>(*band_rows_.row(size_t(b)));
+    }
+
+    /** Block until band @p b has published @p rows rows. */
+    void
+    awaitBand(int b, uint32_t rows)
+    {
+        const std::atomic_ref<uint32_t> published = bandRows(b);
+        for (int spins = 0;
+             published.load(std::memory_order_acquire) < rows;
+             ++spins) {
+            if (spins < kSpinsBeforeYield)
+                cpuRelax();
+            else
+                std::this_thread::yield();
+        }
+    }
+
     /**
-     * Per-row left-right consistency check: the right image's
-     * disparity at xr is argmin_d total(xr + d, y, d), which lies in
-     * the same row of the total volume.
+     * Stage 2: the tile's wavefront as one job over its (row, band)
+     * cells, claimed in row-major order (see the class comment).
      */
     void
-    leftRightCheckRow(DisparityMap &disp, float *right_disp,
-                      const uint32_t *tot, int y)
+    stageWavefront(DirState *dirs, int i0, int i1,
+                   const SweepSpec &sw)
     {
-        ctx_.parallelFor(0, w_, [&](int64_t a, int64_t b) {
-            for (int xr = int(a); xr < int(b); ++xr) {
-                uint32_t best = std::numeric_limits<uint32_t>::max();
-                int bd = 0;
-                for (int d = 0; d < nd_ && xr + d < w_; ++d) {
-                    const uint32_t val = tot[int64_t(xr + d) * nd_ + d];
-                    if (val < best) {
-                        best = val;
-                        bd = d;
-                    }
-                }
-                right_disp[xr] = float(bd);
+        const int64_t cells = int64_t(i1 - i0) * bands_;
+        const int64_t base = w_ / bands_, rem = w_ % bands_;
+        // Its own line: every participant hits it once per cell.
+        alignas(64) std::atomic<int64_t> next_cell{0};
+        // Up to bands_ participants, each running the claim loop; the
+        // chunk bounds only size the fan-out.
+        ctx_.parallelFor(0, bands_, [&](int64_t, int64_t) {
+            for (;;) {
+                const int64_t k =
+                    next_cell.fetch_add(1, std::memory_order_relaxed);
+                if (k >= cells)
+                    return;
+                const int i = i0 + int(k / bands_);
+                const int b = int(k % bands_);
+                for (int nb = std::max(b - 1, 0);
+                     nb <= std::min(b + 1, bands_ - 1); ++nb)
+                    awaitBand(nb, uint32_t(i));
+                // Band b's bounds, as ThreadPool::partition has them.
+                const int x0 = int(b * base + std::min<int64_t>(b, rem));
+                const int x1 = x0 + int(base + (b < rem ? 1 : 0));
+                wavefrontCell(dirs, sw, i, i - i0, x0, x1);
+                bandRows(b).store(uint32_t(i + 1),
+                                  std::memory_order_release);
             }
         });
-        ctx_.parallelFor(0, w_, [&](int64_t a, int64_t b) {
-            for (int x = int(a); x < int(b); ++x) {
-                const int d =
-                    static_cast<int>(std::lround(disp.at(x, y)));
-                const int xr = x - d;
-                if (xr < 0 || std::abs(right_disp[xr] - float(d)) >
-                                  float(p_.lrTolerance)) {
-                    disp.at(x, y) = kInvalidDisparity;
+    }
+
+    /**
+     * Stage 3: left-right consistency check of the tile's rows. The
+     * right image's disparity at xr is argmin_d total(xr + d, y, d);
+     * one contiguous pass over the row visits each xr's candidates
+     * in ascending d, and a strict < keeps the smallest d on ties.
+     */
+    void
+    stageLeftRight(int i0, int i1, const SweepSpec &sw,
+                   LineRows<uint32_t> &scratch)
+    {
+        DisparityMap &disp = *sw.disp;
+        const uint32_t tol = uint32_t(p_.lrTolerance);
+        ctx_.parallelForChunks(i0, i1, [&](int64_t a, int64_t b,
+                                           int c) {
+            uint32_t *best = scratch.row(size_t(2 * c));
+            uint32_t *best_d = scratch.row(size_t(2 * c + 1));
+            for (int i = int(a); i < int(b); ++i) {
+                const int y = sw.y(i, h_);
+                const uint32_t *tot = totalRow(i - i0);
+                std::fill(best, best + w_,
+                          std::numeric_limits<uint32_t>::max());
+                std::fill(best_d, best_d + w_, 0u);
+                for (int x = 0; x < w_; ++x) {
+                    const uint32_t *t = tot + int64_t(x) * nd_;
+                    const int d_end = std::min(nd_ - 1, x) + 1;
+                    for (int d = 0; d < d_end; ++d) {
+                        const bool lt = t[d] < best[x - d];
+                        best[x - d] = lt ? t[d] : best[x - d];
+                        best_d[x - d] = lt ? uint32_t(d) : best_d[x - d];
+                    }
+                }
+                for (int x = 0; x < w_; ++x) {
+                    const int d =
+                        static_cast<int>(std::lround(disp.at(x, y)));
+                    const int xr = x - d;
+                    if (xr < 0 ||
+                        uint32_t(std::abs(int(best_d[xr]) - d)) > tol)
+                        disp.at(x, y) = kInvalidDisparity;
                 }
             }
         });
     }
+
+    /**
+     * One full sweep in row direction sw.dy: per tile, stage 1
+     * (cost rows + horizontals), stage 2 (the wavefront) and, when
+     * rows are finalized with the check on, stage 3.
+     */
+    void
+    sweep(const SweepSpec &sw)
+    {
+        DirState dirs[3] = {DirState(nd_, w_, 0, ctx_.buffers()),
+                            DirState(nd_, w_, 1, ctx_.buffers()),
+                            DirState(nd_, w_, -1, ctx_.buffers())};
+        const bool lr = sw.disp != nullptr && p_.leftRightCheck;
+        // Per-chunk argmin rows for stage 3, taken before any
+        // fan-out so the live buffer count never depends on how
+        // chunks overlap.
+        std::optional<LineRows<uint32_t>> lr_scratch;
+        if (lr)
+            lr_scratch.emplace(size_t(2 * chunks_), size_t(w_),
+                               ctx_.buffers());
+        for (int b = 0; b < bands_; ++b)
+            bandRows(b).store(0, std::memory_order_relaxed);
+        for (int i0 = 0; i0 < h_; i0 += tile_rows_) {
+            const int i1 = std::min(i0 + tile_rows_, h_);
+            stageRows(i0, i1, sw);
+            stageWavefront(dirs, i0, i1, sw);
+            if (lr)
+                stageLeftRight(i0, i1, sw, *lr_scratch);
+        }
+    }
+
+    /** Pause-spins before a waiting cell starts yielding its core. */
+    static constexpr int kSpinsBeforeYield = 64;
 
     const image::Image &left_, &right_;
     const SgmParams &p_;
@@ -469,10 +574,12 @@ class StreamingSgm
     // Parallel-stage scratch, pre-acquired per chunk so the live
     // same-shape buffer count (and with it the steady-state pool
     // miss count) never depends on how worker chunks overlap.
-    int chunks_;                            //!< max parallel fan-out
-    PoolHandle<const float *> census_rows_; //!< census row pointers
-    PoolHandle<uint64_t> census_codes_;     //!< left+right code rows
+    int chunks_;                        //!< max parallel fan-out
+    int bands_;                         //!< wavefront column bands
+    LineRows<const float *> census_rows_; //!< census row pointers
+    LineRows<uint64_t> census_codes_;   //!< left+right code rows
     PathScratch horiz_scratch_; //!< 2 ping-pong rows per chunk
+    LineRows<uint32_t> band_rows_; //!< per-band published-row counter
     PoolHandle<TDown> down_vol_; //!< 8-path down-direction sums
 };
 

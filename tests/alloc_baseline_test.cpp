@@ -30,6 +30,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <future>
+#include <latch>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -368,6 +370,64 @@ TEST_F(AllocBaseline, WarmIsmNonKeyFrameAllocatesNothing)
         }
         ASSERT_FALSE(key) << "frame " << i;
         EXPECT_EQ(0u, allocs) << "non-key frame " << i;
+    }
+}
+
+TEST_F(AllocBaseline, NonKeyFramesStayAllocationFreeAfterSerialWarmup)
+{
+    // Warm the pipeline while the pool's only worker is held in a
+    // blocked submit() task: the caller then runs every chunk of
+    // every fan-out itself, one after the other. Scratch acquired
+    // inside a parallel body is then live once at a time during
+    // warm-up, so the arena shelves one set — and a later frame
+    // whose chunks really overlap misses the pool. Per-chunk scratch
+    // taken before the fan-out keeps every frame at zero however
+    // the chunks were scheduled while warming.
+    data::SceneConfig cfg;
+    cfg.width = 96;
+    cfg.height = 64;
+    cfg.numObjects = 3;
+    cfg.maxDisparity = 20.f;
+    const data::StereoSequence seq = data::generateSequence(cfg, 8, 5);
+    const core::IsmParams params; // PW 4, flow at half resolution
+    const int pw = params.propagationWindow;
+    auto pool = std::make_shared<ThreadPool>(2);
+    core::IsmPipeline ism(
+        params, stereo::makeMatcher("sgm", "maxDisparity=32"),
+        core::makeStaticSequencer(pw), pool);
+
+    {
+        std::latch started(1);
+        std::promise<void> release;
+        auto held = pool->submit(
+            [&started, released = release.get_future()] {
+                started.count_down();
+                released.wait();
+            });
+        started.wait();
+        for (const auto &f : seq.frames)
+            (void)ism.processFrame(f.left, f.right);
+        release.set_value();
+        held.get();
+    }
+
+    constexpr int kCycles = 16;
+    for (int cycle = 0; cycle < kCycles; ++cycle) {
+        for (int i = 0; i < pw; ++i) {
+            const auto &f = seq.frames[size_t(i)];
+            uint64_t allocs = 0;
+            bool key = false;
+            {
+                debug::AllocScope scope;
+                key = ism.processFrame(f.left, f.right).keyFrame;
+                allocs = scope.counts().allocs;
+            }
+            ASSERT_EQ(i == 0, key) << "cycle " << cycle << " frame " << i;
+            if (!key) {
+                EXPECT_EQ(0u, allocs)
+                    << "cycle " << cycle << " non-key frame " << i;
+            }
+        }
     }
 }
 

@@ -3,13 +3,21 @@
  * Tests for the fused, tiled, streaming SGM engine: bit-identity
  * against the materialized reference (tests/reference/; odd sizes,
  * non-lane-multiple disparity ranges, every SIMD level, 1 and 8
- * workers), the 4/5-path variants, parameter validation, the
- * resident-footprint contract, and allocation-free steady state.
+ * workers), the 4/5-path variants, the band-cell wavefront schedule
+ * (multi-tile shapes, 1-8 workers, fewer columns than bands, nested
+ * and starved pools), parameter validation, the resident-footprint
+ * contract, and allocation-free steady state.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <future>
+#include <latch>
+#include <thread>
 #include <tuple>
 
 #include "common/exec_context.hh"
@@ -151,6 +159,157 @@ TEST(SgmStream, FewerPathsBitIdenticalAcrossLevelsAndThreads)
             }
         }
     }
+}
+
+// ------------------------------------------ band-cell wavefront
+
+/**
+ * Run @p fn on its own thread and abort the process if it has not
+ * returned within @p seconds: a schedule that deadlocks must fail
+ * the suite, not hang it.
+ */
+template <typename Fn>
+auto
+withTimeout(int seconds, Fn fn)
+{
+    std::packaged_task<decltype(fn())()> task(std::move(fn));
+    auto result = task.get_future();
+    std::thread runner(std::move(task));
+    if (result.wait_for(std::chrono::seconds(seconds)) !=
+        std::future_status::ready) {
+        std::fprintf(stderr, "SGM did not finish within %d s: the "
+                             "wavefront schedule deadlocked\n",
+                     seconds);
+        std::abort();
+    }
+    runner.join();
+    return result.get();
+}
+
+TEST(SgmStream, MultiTileBitIdenticalAcrossWorkerCounts)
+{
+    // A tile holds clamp(2 MiB / (w * nd * 6 B), 2, 64) rows. Both
+    // shapes span three or more tiles with a ragged last one:
+    // 40 x 150 at nd 16 is 64 + 64 + 22 rows, 200 x 70 at nd 65 is
+    // 26 + 26 + 18. Odd band widths at 3 and 8 workers.
+    Rng rng(36);
+    ThreadPool t1(1), t2(2), t3(3), t4(4), t8(8);
+    for (const auto &[w, h, max_d] :
+         {std::tuple{40, 150, 15}, {200, 70, 64}}) {
+        const image::Image left = randomImage(w, h, rng);
+        const image::Image right = shiftedImage(left, 5, rng);
+        for (int paths : {8, 4, 5}) {
+            SCOPED_TRACE(::testing::Message()
+                         << w << "x" << h << " paths=" << paths);
+            stereo::SgmParams params;
+            params.maxDisparity = max_d;
+            params.paths = paths;
+            LevelGuard scalar(simd::Level::Scalar);
+            const auto serial =
+                stereo::sgmCompute(left, right, params, ExecContext(t1));
+            if (paths == 8) {
+                // The oracle aggregates all 8 directions only.
+                expectBitIdentical(
+                    stereo::reference::sgmComputeMaterialized(
+                        left, right, params, ExecContext(t1)),
+                    serial, "1 worker vs materialized");
+            }
+            for (simd::Level level : supportedLevels()) {
+                LevelGuard guard(level);
+                for (ThreadPool *pool : {&t1, &t2, &t3, &t4, &t8}) {
+                    const auto got = stereo::sgmCompute(
+                        left, right, params, ExecContext(*pool));
+                    expectBitIdentical(serial, got,
+                                       "N workers vs 1 worker");
+                }
+            }
+        }
+    }
+}
+
+TEST(SgmStream, NarrowerThanBandCount)
+{
+    // w < workers: one band per column, and disparity ranges wider
+    // than the image.
+    Rng rng(37);
+    ThreadPool t1(1), t8(8);
+    for (int w : {1, 2, 3}) {
+        SCOPED_TRACE(::testing::Message() << "w=" << w);
+        const image::Image left = randomImage(w, 23, rng);
+        const image::Image right = shiftedImage(left, 1, rng);
+        stereo::SgmParams params;
+        params.maxDisparity = 4;
+        const auto ref = stereo::reference::sgmComputeMaterialized(
+            left, right, params, ExecContext(t1));
+        expectBitIdentical(
+            ref, stereo::sgmCompute(left, right, params, ExecContext(t1)),
+            "1 worker vs materialized");
+        expectBitIdentical(
+            ref, stereo::sgmCompute(left, right, params, ExecContext(t8)),
+            "8 workers vs materialized");
+    }
+}
+
+/** Shared fixture of the nested and starved-pool cases. */
+struct StarvedCase
+{
+    image::Image left, right;
+    stereo::SgmParams params;
+    stereo::DisparityMap serial;
+
+    StarvedCase()
+    {
+        Rng rng(38);
+        left = randomImage(90, 70, rng);
+        right = shiftedImage(left, 6, rng);
+        params.maxDisparity = 40; // 64 + 6 rows: two tiles
+        ThreadPool t1(1);
+        serial = stereo::sgmCompute(left, right, params, ExecContext(t1));
+    }
+};
+
+TEST(SgmStream, NestedInsideSubmitTaskMatchesSerial)
+{
+    // serve runs key frames inside submit() tasks on the pool the
+    // kernels fan out on: the nested job runs on the caller alone.
+    StarvedCase c;
+    ThreadPool pool(4);
+    const auto got = withTimeout(60, [&] {
+        return pool
+            .submit([&] {
+                return stereo::sgmCompute(c.left, c.right, c.params,
+                                          ExecContext(pool));
+            })
+            .get();
+    });
+    expectBitIdentical(c.serial, got, "nested vs serial");
+}
+
+TEST(SgmStream, AllWorkersBusyCannotDeadlock)
+{
+    // Every worker is parked in a blocked task, so the caller claims
+    // every cell itself; the job must finish without them.
+    StarvedCase c;
+    ThreadPool pool(4);
+    std::latch started(pool.numThreads() - 1);
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    std::vector<std::future<void>> held;
+    for (int i = 0; i < pool.numThreads() - 1; ++i) {
+        held.push_back(pool.submit([&started, released] {
+            started.count_down();
+            released.wait();
+        }));
+    }
+    started.wait();
+    const auto got = withTimeout(60, [&] {
+        return stereo::sgmCompute(c.left, c.right, c.params,
+                                  ExecContext(pool));
+    });
+    release.set_value();
+    for (auto &f : held)
+        f.get();
+    expectBitIdentical(c.serial, got, "starved pool vs serial");
 }
 
 TEST(SgmStream, FewerPathsRecoverConstantDisparity)
