@@ -5,13 +5,13 @@
  * polynomial expansion, block matching and SGM — the streaming
  * engine, its 4-path variant, and the materialized test oracle
  * (tests/reference/), each reporting its peak resident arena bytes —
- * plus a per-SIMD-level sweep of the census, Hamming cost-volume,
+ * plus a per-SIMD-level sweep of the census, cost-volume oracle,
  * SGM aggregation-row, and fused cost-row kernels, and of the f32 DNN
- * route (BM_ConvGemm / BM_Deconv: im2col
- * + gemmTile with the fused bias+ReLU epilogue) — the vector-vs-scalar
- * datapoints tracked in BENCH_kernels.json. The benchmark context
- * records the dispatched ISA (asv_simd) so trajectory comparisons
- * across hosts stay meaningful.
+ * route (BM_ConvGemm / BM_Deconv: implicit GEMM — packed operand
+ * blocks + gemmTile with the fused bias+ReLU epilogue) — the
+ * vector-vs-scalar datapoints tracked in BENCH_kernels.json. The
+ * benchmark context records the dispatched ISA (asv_simd) so
+ * trajectory comparisons across hosts stay meaningful.
  */
 
 #include <benchmark/benchmark.h>
@@ -375,9 +375,9 @@ void
 BM_ConvGemm(benchmark::State &state, simd::Level level,
             ConvGemmShape shape)
 {
-    // The DNN-path f32 route: a 3x3 convolution lowered to im2col +
-    // the dispatched gemmTile kernel with the bias+ReLU epilogue
-    // fused.
+    // The DNN-path f32 route: a 3x3 convolution as an implicit GEMM
+    // (operand blocks packed from the input) over the dispatched
+    // gemmTile kernel with the bias+ReLU epilogue fused.
     LevelGuard guard(level);
     Tensor in = randomTensor({shape.c, shape.h, shape.w}, 12);
     Tensor w = randomTensor({shape.k, shape.c, 3, 3}, 13);

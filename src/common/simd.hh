@@ -4,7 +4,7 @@
  * paths.
  *
  * The inner loops that dominate classical stereo — census
- * bit-packing, XOR+popcount Hamming cost rows, SAD accumulation for
+ * bit-packing, fused XOR+popcount cost rows, SAD accumulation for
  * block matching, and the semi-global aggregation recurrence — plus
  * the f32 GEMM tile and bias+ReLU epilogue behind the deconv/DNN path
  * carry 8-32x of data-level parallelism that scalar per-pixel loops
@@ -26,7 +26,7 @@
  * instructions can never leak into the dispatch path.
  *
  * Bit-identity contract: every level produces results bit-identical
- * to the scalar reference. Census and Hamming kernels are pure
+ * to the scalar reference. Census and cost-row kernels are pure
  * integer/predicate arithmetic, so this is automatic; the SAD kernel
  * vectorizes across *candidates* (one disparity per lane) so each
  * lane performs the exact double-precision accumulation sequence of
@@ -73,10 +73,6 @@ enum class Level {
  */
 using CensusRowFn = void (*)(const float *const *rows, int radius,
                              int x0, int x1, uint64_t *out);
-
-/** out[i] = popcount(a[i] ^ b[i]) for i in [0, n). */
-using HammingRowFn = void (*)(const uint64_t *a, const uint64_t *b,
-                              int n, uint16_t *out);
 
 /**
  * SAD over a span of disparity candidates at one pixel.
@@ -213,7 +209,6 @@ struct Kernels
     const char *name;     //!< "scalar" / "sse42" / "avx2" / "neon"
     Level level;          //!< ISA this table was compiled for
     CensusRowFn censusRow;
-    HammingRowFn hammingRow;
     SadSpanFn sadSpan;
     AggregateRowFn aggregateRow;
     CostRowFn costRow;

@@ -2,9 +2,9 @@
  * @file
  * Shared scalar reference loops for the SIMD kernel table.
  *
- * One definition of the census bit-pack, Hamming popcount, fused
- * pixel-major cost row, SAD accumulation, semi-global aggregation,
- * f32 GEMM tile, and bias+ReLU epilogue semantics, included by
+ * One definition of the census bit-pack, fused pixel-major cost
+ * row, SAD accumulation, semi-global aggregation, f32 GEMM tile,
+ * and bias+ReLU epilogue semantics, included by
  * every per-ISA translation unit: the scalar table uses them as its
  * kernels, and the vector tables use most of them for sub-vector
  * tails (the GEMM tile's tails are masked vectors instead).
@@ -63,15 +63,6 @@ censusRowRef(const float *const *rows, int radius, int x0, int x1,
         }
         out[x] = bits;
     }
-}
-
-/** out[i] = popcount(a[i] ^ b[i]); see HammingRowFn. */
-inline void
-hammingRowRef(const uint64_t *a, const uint64_t *b, int n,
-              uint16_t *out)
-{
-    for (int i = 0; i < n; ++i)
-        out[i] = static_cast<uint16_t>(std::popcount(a[i] ^ b[i]));
 }
 
 /**

@@ -25,13 +25,6 @@ censusRowScalar(const float *const *rows, int radius, int x0, int x1,
 }
 
 void
-hammingRowScalar(const uint64_t *a, const uint64_t *b, int n,
-                 uint16_t *out)
-{
-    hammingRowRef(a, b, n, out);
-}
-
-void
 sadSpanScalar(const float *const *lrows, const float *const *rrows,
               int radius, int x, int d0, int n, double *cost)
 {
@@ -61,9 +54,9 @@ biasReluRowScalar(float *out, int n, float bias, bool relu)
 }
 
 constexpr Kernels kScalarKernels = {
-    "scalar",         Level::Scalar, censusRowScalar,
-    hammingRowScalar, sadSpanScalar, aggregateRowScalar,
-    costRowScalar,    gemmTileRef,   biasReluRowScalar,
+    "scalar",      Level::Scalar, censusRowScalar,
+    sadSpanScalar, aggregateRowScalar, costRowScalar,
+    gemmTileRef,   biasReluRowScalar,
     /*fusedF32=*/true,
 };
 

@@ -4,15 +4,13 @@
 
 #include "common/logging.hh"
 #include "common/math_util.hh"
+#include "common/simd.hh"
 
 namespace asv::deconv
 {
 
 namespace
 {
-
-/** Stack-array ceiling of the crop/gather odometers. */
-constexpr int kMaxDims = 4;
 
 /** Floor division that is correct for negative numerators. */
 int64_t
@@ -168,6 +166,39 @@ transformLayer(const dnn::LayerDesc &layer)
     return t;
 }
 
+namespace
+{
+
+/** Write @p sub's sub-kernel [K, C, taps...] from @p weight to @p o. */
+void
+extractInto(const Tensor &weight, const SubConv &sub, const Shape &stride,
+            float *o)
+{
+    // Flat offset, inside one [f, c] kernel slice, of every sub-kernel
+    // tap (raster order): tap j reads kernel position
+    // stride * j + delta per spatial dim.
+    const int nd = static_cast<int>(sub.dims.size());
+    const int64_t taps = tensor::numElems(sub.kernelExtents());
+    std::vector<int64_t> src(static_cast<size_t>(taps), 0);
+    int64_t span = 1; // row-major stride of dim d in the full kernel
+    int64_t reps = 1; // sub-kernel taps in dims after d
+    for (int d = nd - 1; d >= 0; --d) {
+        const int64_t e = sub.dims[d].taps;
+        for (int64_t t = 0; t < taps; ++t)
+            src[t] += (stride[d] * (t / reps % e) + sub.dims[d].delta) *
+                      span;
+        span *= weight.dim(2 + d);
+        reps *= e;
+    }
+
+    const float *w = weight.data();
+    for (int64_t fc = 0; fc < weight.dim(0) * weight.dim(1); ++fc)
+        for (int64_t t = 0; t < taps; ++t)
+            *o++ = w[fc * span + src[t]];
+}
+
+} // namespace
+
 Tensor
 extractSubKernel(const Tensor &weight, const SubConv &sub,
                  const Shape &stride)
@@ -183,123 +214,81 @@ extractSubKernel(const Tensor &weight, const SubConv &sub,
         sk_shape.push_back(std::max<int64_t>(sub.dims[d].taps, 0));
 
     Tensor sk(sk_shape);
-    if (sub.empty())
-        return sk;
-
-    // Flat offset, inside one [f, c] kernel slice, of every sub-kernel
-    // tap (raster order): tap j reads kernel position
-    // stride * j + delta per spatial dim.
-    const Shape tap_shape(sk_shape.begin() + 2, sk_shape.end());
-    const int64_t taps = tensor::numElems(tap_shape);
-    std::vector<int64_t> src(static_cast<size_t>(taps), 0);
-    int64_t span = 1; // row-major stride of dim d in the full kernel
-    int64_t reps = 1; // sub-kernel taps in dims after d
-    for (int d = nd - 1; d >= 0; --d) {
-        const int64_t e = tap_shape[d];
-        for (int64_t t = 0; t < taps; ++t)
-            src[t] += (stride[d] * (t / reps % e) + sub.dims[d].delta) *
-                      span;
-        span *= weight.dim(2 + d);
-        reps *= e;
-    }
-
-    const float *w = weight.data();
-    float *o = sk.data();
-    for (int64_t fc = 0; fc < weight.dim(0) * weight.dim(1); ++fc)
-        for (int64_t t = 0; t < taps; ++t)
-            *o++ = w[fc * span + src[t]];
+    if (!sub.empty())
+        extractInto(weight, sub, stride, sk.data());
     return sk;
 }
 
-void
-cropInto(const Tensor &in, const Shape &crop_lo, Tensor &out,
-         const ExecContext &ctx)
+Plan
+compilePlan(const Shape &input, const Tensor &weight,
+            const tensor::DeconvSpec &spec)
 {
-    const int nd = static_cast<int>(in.rank()) - 1;
-    panic_if(nd < 1 || nd > kMaxDims || out.rank() != in.rank() ||
-                 out.dim(0) != in.dim(0),
-             "cropInto: bad shapes ", tensor::toString(in.shape()),
-             " -> ", tensor::toString(out.shape()));
-    const int64_t *sstr = in.strides().data() + 1;
-    const int64_t *dstr = out.strides().data() + 1;
-    const int64_t schan = in.strides()[0];
-    const int64_t dchan = out.strides()[0];
-    const int64_t inner = out.dim(nd);
-    ctx.parallelFor(0, in.dim(0), [&](int64_t c0, int64_t c1) {
-        int64_t o[kMaxDims];
-        for (int64_t c = c0; c < c1; ++c) {
-            const float *sbase = in.data() + c * schan;
-            float *dbase = out.data() + c * dchan;
-            for (int d = 0; d + 1 < nd; ++d)
-                o[d] = 0;
-            while (true) {
-                int64_t soff = crop_lo[nd - 1];
-                int64_t doff = 0;
-                for (int d = 0; d + 1 < nd; ++d) {
-                    soff += (o[d] + crop_lo[d]) * sstr[d];
-                    doff += o[d] * dstr[d];
-                }
-                std::copy_n(sbase + soff, inner, dbase + doff);
-                int d = nd - 2;
-                while (d >= 0) {
-                    if (++o[d] < out.dim(1 + d))
-                        break;
-                    o[d] = 0;
-                    --d;
-                }
-                if (d < 0)
-                    break;
-            }
+    const int nd = static_cast<int>(input.size()) - 1;
+    panic_if(nd < 1 || nd > tensor::kMaxSpatialDims ||
+                 weight.rank() != nd + 2 || weight.dim(1) != input[0],
+             "compilePlan: input ", tensor::toString(input),
+             " and weight ", tensor::toString(weight.shape()),
+             " do not form a 1-", tensor::kMaxSpatialDims,
+             "-D deconvolution");
+    dnn::LayerDesc layer;
+    layer.name = "functional";
+    layer.kind = dnn::LayerKind::Deconv;
+    layer.inChannels = input[0];
+    layer.outChannels = weight.dim(0);
+    layer.inSpatial.assign(input.begin() + 1, input.end());
+    layer.kernel.assign(weight.shape().begin() + 2, weight.shape().end());
+    layer.stride = spec.stride;
+    layer.pad = spec.pad;
+
+    Plan plan;
+    plan.inShape = input;
+    plan.outShape = tensor::deconvOutShape(input, weight.shape(), spec);
+    TransformedLayer t = transformLayer(layer);
+    std::vector<SubConv> subs; // the sub-convolution of each phase
+    int64_t weights = 0;
+    for (SubConv &sc : t.subConvs) {
+        tensor::GemmPhase ph;
+        bool has_outputs = true;
+        for (int d = 0; d < nd; ++d) {
+            const DimPlan &dp = sc.dims[d];
+            has_outputs = has_outputs && dp.count > 0;
+            ph.taps[d] = dp.taps;
+            ph.counts[d] = dp.count;
+            ph.origin[d] = dp.inOffset;
+            ph.stride[d] = 1;
+            ph.offset[d] = dp.phase;
+            ph.step[d] = spec.stride[d];
         }
-    });
+        if (!has_outputs)
+            continue;
+        ph.weightOffset = weights;
+        if (!sc.empty())
+            weights += weight.dim(0) * weight.dim(1) *
+                       tensor::numElems(sc.kernelExtents());
+        plan.phases.push_back(ph);
+        subs.push_back(std::move(sc));
+    }
+    plan.weights.resize(static_cast<size_t>(weights));
+    for (size_t i = 0; i < subs.size(); ++i)
+        if (!subs[i].empty())
+            extractInto(weight, subs[i], spec.stride,
+                        plan.weights.data() + plan.phases[i].weightOffset);
+    return plan;
 }
 
 void
-gatherPhase(const Tensor &sub_out, const Shape &stride,
-            const Shape &phase, Tensor &out, const ExecContext &ctx)
+runPlan(const Plan &plan, const Tensor &input,
+        const tensor::ConvEpilogue *epilogue, const ExecContext &ctx,
+        Tensor &out)
 {
-    const int nd = static_cast<int>(out.rank()) - 1;
-    panic_if(nd < 1 || nd > kMaxDims || sub_out.rank() != out.rank() ||
-                 sub_out.dim(0) != out.dim(0),
-             "gatherPhase: bad shapes ",
-             tensor::toString(sub_out.shape()), " -> ",
-             tensor::toString(out.shape()));
-    const int64_t *sstr = sub_out.strides().data() + 1;
-    const int64_t *ostr = out.strides().data() + 1;
-    const int64_t schan = sub_out.strides()[0];
-    const int64_t ochan = out.strides()[0];
-    const int64_t inner = sub_out.dim(nd);
-    const int64_t inner_step = stride[nd - 1];
-    ctx.parallelFor(0, sub_out.dim(0), [&](int64_t f0, int64_t f1) {
-        int64_t o[kMaxDims];
-        for (int64_t f = f0; f < f1; ++f) {
-            const float *sbase = sub_out.data() + f * schan;
-            float *obase = out.data() + f * ochan;
-            for (int d = 0; d + 1 < nd; ++d)
-                o[d] = 0;
-            while (true) {
-                int64_t soff = 0;
-                int64_t ooff = phase[nd - 1];
-                for (int d = 0; d + 1 < nd; ++d) {
-                    soff += o[d] * sstr[d];
-                    ooff += (o[d] * stride[d] + phase[d]) * ostr[d];
-                }
-                const float *src = sbase + soff;
-                float *dst = obase + ooff;
-                for (int64_t j = 0; j < inner; ++j)
-                    dst[j * inner_step] = src[j];
-                int d = nd - 2;
-                while (d >= 0) {
-                    if (++o[d] < sub_out.dim(1 + d))
-                        break;
-                    o[d] = 0;
-                    --d;
-                }
-                if (d < 0)
-                    break;
-            }
-        }
-    });
+    panic_if(input.shape() != plan.inShape ||
+                 out.shape() != plan.outShape,
+             "runPlan: shapes ", tensor::toString(input.shape()), " -> ",
+             tensor::toString(out.shape()), " do not match the plan's ",
+             tensor::toString(plan.inShape), " -> ",
+             tensor::toString(plan.outShape));
+    tensor::gemmPhasesInto(input, plan.weights.data(), plan.phases,
+                           epilogue, ctx, out);
 }
 
 namespace
@@ -312,84 +301,46 @@ transformedDeconvImpl(const Tensor &input, const Tensor &weight,
                       const tensor::ConvEpilogue *epi,
                       const ExecContext &ctx)
 {
+    const Plan plan = compilePlan(input.shape(), weight, spec);
+    Tensor out(plan.outShape);
+    if (stats == nullptr) {
+        runPlan(plan, input, epi, ctx, out);
+        return out;
+    }
+
+    // Op-counting route: each phase with taps runs the reference
+    // loop as a stride-1 convolution whose padding encodes the
+    // origin (a negative leading pad is a crop) and sizes the output
+    // to the phase's counts; taps-free phases stay zero.
     const int nd = input.rank() - 1;
-
-    // Build a LayerDesc-equivalent plan directly.
-    dnn::LayerDesc layer;
-    layer.name = "functional";
-    layer.kind = dnn::LayerKind::Deconv;
-    layer.inChannels = input.dim(0);
-    layer.outChannels = weight.dim(0);
-    layer.inSpatial.assign(input.shape().begin() + 1,
-                           input.shape().end());
-    layer.kernel.assign(weight.shape().begin() + 2,
-                        weight.shape().end());
-    layer.stride = spec.stride;
-    layer.pad = spec.pad;
-    const TransformedLayer plan = transformLayer(layer);
-
-    const Shape out_shape = tensor::deconvOutShape(
-        input.shape(), weight.shape(), spec);
-    Tensor out(out_shape);
-
-    for (const SubConv &sc : plan.subConvs) {
-        if (sc.empty())
-            continue;
-
-        const Tensor sk = extractSubKernel(weight, sc, spec.stride);
-
-        // Run the sub-convolution as a dense stride-1 convNd. The
-        // ifmap shift m0 maps to leading padding (m0 < 0) or a
-        // leading crop (m0 > 0); trailing pad/crop sizes the output
-        // to exactly `count` positions.
-        Shape crop_lo(nd), pad_lo(nd), pad_hi(nd), crop_hi(nd);
-        for (int d = 0; d < nd; ++d) {
-            const DimPlan &dp = sc.dims[d];
-            crop_lo[d] = std::max<int64_t>(0, dp.inOffset);
-            pad_lo[d] = std::max<int64_t>(0, -dp.inOffset);
-            const int64_t len = input.dim(1 + d) - crop_lo[d];
-            panic_if(len < 1, "sub-conv crop removed entire input");
-            const int64_t ph =
-                dp.count - 1 + dp.taps - pad_lo[d] - len;
-            pad_hi[d] = std::max<int64_t>(0, ph);
-            crop_hi[d] = std::max<int64_t>(0, -ph);
-        }
-
-        // Crop the input if needed.
-        const Tensor *eff_input = &input;
-        Tensor cropped;
-        if (std::any_of(crop_lo.begin(), crop_lo.end(),
-                        [](int64_t c) { return c > 0; }) ||
-            std::any_of(crop_hi.begin(), crop_hi.end(),
-                        [](int64_t c) { return c > 0; })) {
-            Shape cs;
-            cs.push_back(input.dim(0));
-            for (int d = 0; d < nd; ++d)
-                cs.push_back(input.dim(1 + d) - crop_lo[d] -
-                             crop_hi[d]);
-            cropped = Tensor(cs);
-            cropInto(input, crop_lo, cropped, ctx);
-            eff_input = &cropped;
-        }
-
+    const int64_t K = weight.dim(0);
+    for (const tensor::GemmPhase &ph : plan.phases) {
+        Shape sk_shape{K, input.dim(0)};
         tensor::ConvSpec cspec;
         cspec.stride.assign(nd, 1);
-        cspec.padLo = pad_lo;
-        cspec.padHi = pad_hi;
-        // Sub-convolutions write disjoint ofmap phases, so fusing
-        // the bias+ReLU epilogue into each sub-conv is exactly the
-        // epilogue on the gathered ofmap.
-        const Tensor sub_out =
-            epi != nullptr
-                ? convNd(*eff_input, sk, cspec, *epi, stats, ctx)
-                : convNd(*eff_input, sk, cspec, tensor::ConvOp::MAC,
-                         stats, ctx);
-
-        // Gather: interleave into the ofmap at stride positions.
-        Shape phase(nd);
-        for (int d = 0; d < nd; ++d)
-            phase[d] = sc.dims[d].phase;
-        gatherPhase(sub_out, spec.stride, phase, out, ctx);
+        for (int d = 0; d < nd; ++d) {
+            sk_shape.push_back(ph.taps[d]);
+            cspec.padLo.push_back(-ph.origin[d]);
+            cspec.padHi.push_back(ph.counts[d] - 1 + ph.taps[d] +
+                                  ph.origin[d] - input.dim(1 + d));
+        }
+        const int64_t sk_size = tensor::numElems(sk_shape);
+        if (sk_size == 0)
+            continue;
+        const float *sk_data = plan.weights.data() + ph.weightOffset;
+        const Tensor sk(sk_shape,
+                        std::vector<float>(sk_data, sk_data + sk_size));
+        const Tensor sub = tensor::convNd(input, sk, cspec,
+                                          tensor::ConvOp::MAC, stats, ctx);
+        const int64_t N = sub.size() / K;
+        tensor::scatterPhase(ph, sub.data(), N, 0, K, 0, N, out);
+    }
+    if (epi != nullptr) {
+        const simd::Kernels &kt = simd::kernels();
+        const int64_t P = out.size() / K;
+        for (int64_t f = 0; f < K; ++f)
+            kt.biasReluRow(out.data() + f * P, static_cast<int>(P),
+                           epi->bias ? epi->bias[f] : 0.0f, epi->relu);
     }
     return out;
 }

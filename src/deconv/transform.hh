@@ -17,7 +17,10 @@
  * equality against the zero-insertion reference in tensor/deconv.
  *
  * Every sub-convolution reads the *same* ifmap — the inter-layer
- * activation reuse (ILAR) the scheduler exploits (Sec. 4.2).
+ * activation reuse (ILAR) the scheduler exploits (Sec. 4.2). A
+ * compiled Plan executes it that way on the CPU too: one implicit-GEMM
+ * fan-out packs each phase's operand blocks from the shared ifmap and
+ * scatters each output tile straight into the strided ofmap.
  */
 
 #ifndef ASV_DECONV_TRANSFORM_HH
@@ -111,35 +114,53 @@ Tensor extractSubKernel(const Tensor &weight, const SubConv &sub,
                         const Shape &stride);
 
 /**
- * Copy the window of @p in ([C, spatial...], 1-4 spatial dims) whose
- * leading corner is @p crop_lo into @p out, whose spatial extents
- * size the window — a sub-convolution's leading/trailing ifmap crop.
- * Channels fan out over @p ctx; innermost runs are contiguous
- * copies.
+ * A deconvolution compiled once for execution — DCT (Sec. 4.1) with
+ * ILAR (Sec. 4.2) on the CPU. Every phase with output positions is
+ * one tensor::GemmPhase: its sub-kernel (in @ref weights), its input
+ * origin (the ifmap shift inOffset; a leading crop is a positive
+ * origin, a leading pad a negative one), its output counts, and its
+ * offset into the ofmap at the deconvolution's stride. Phases with
+ * no kernel taps stay in the plan and receive the epilogue of zero.
+ * Every phase reads the one shared ifmap: no per-phase crop, column
+ * matrix or output copy exists.
  */
-void cropInto(const Tensor &in, const Shape &crop_lo, Tensor &out,
-              const ExecContext &ctx);
+struct Plan
+{
+    Shape inShape;  //!< [C, spatial...] the plan was compiled for
+    Shape outShape; //!< [K, out spatial...]
+    std::vector<float> weights; //!< sub-kernels, [K x C * taps] each
+    std::vector<tensor::GemmPhase> phases; //!< phase order
+};
 
 /**
- * Interleave one sub-convolution's output into the ofmap:
- * out[f, j * stride + phase] = sub_out[f, j] per spatial dim.
- * Filters fan out over @p ctx; sub-convolutions write disjoint
- * phases, so gathering them in any order gives the same ofmap.
+ * Compile the plan of deconvolving an @p input-shaped ifmap with
+ * @p weight [K, C, kspatial...] (1-4 spatial dims) under @p spec:
+ * phase geometry from transformLayer(), sub-kernels extracted once.
  */
-void gatherPhase(const Tensor &sub_out, const Shape &stride,
-                 const Shape &phase, Tensor &out,
-                 const ExecContext &ctx);
+Plan compilePlan(const Shape &input, const Tensor &weight,
+                 const tensor::DeconvSpec &spec);
 
 /**
- * Execute a deconvolution via the transformation: decompose, run each
- * sub-convolution as a dense convNd, and gather the interleaved
- * ofmap. Bit-equal to tensor::deconvNd.
+ * Run @p plan on @p input (shape plan.inShape) into @p out (shape
+ * plan.outShape, prior contents overwritten) with the optional fused
+ * epilogue: one tensor::gemmPhasesInto() fan-out over (phase, panel,
+ * filter tile) tasks. Performs no heap allocations once @p ctx's
+ * BufferPool has warmed up; bit-identical for any worker count and
+ * across the fused SIMD levels.
+ */
+void runPlan(const Plan &plan, const Tensor &input,
+             const tensor::ConvEpilogue *epilogue,
+             const ExecContext &ctx, Tensor &out);
+
+/**
+ * Execute a deconvolution via the transformation: compilePlan() then
+ * runPlan(). Equal to tensor::deconvNd up to f32 rounding.
  *
- * The sub-convolutions run on @p ctx (convNd partitions the output
- * range across its pool), and the crop/gather data movement fans out
- * over the channel dimension. Sub-convolutions execute in phase
- * order and write disjoint ofmap positions, so the result — and the
- * @p stats counters — are bit-identical for any worker count.
+ * With @p stats set, each phase instead runs the reference convNd
+ * loop (double accumulation, exact op counters of the dense
+ * sub-convolutions) and is scattered into the ofmap in phase order.
+ * Either way the result — and the @p stats counters — are
+ * bit-identical for any worker count.
  *
  * @param input  [C, spatial...]
  * @param weight [K, C, kspatial...]
@@ -156,9 +177,10 @@ Tensor transformedDeconv(const Tensor &input, const Tensor &weight,
 /**
  * transformedDeconv() with a fused per-filter bias+ReLU epilogue.
  * Sub-convolutions write disjoint ofmap phases, so applying the
- * epilogue inside each sub-convolution is exactly the epilogue on
- * the gathered ofmap — one fewer pass over the output. This is the
- * form dnn::NetworkRuntime's deconv layers lower to.
+ * epilogue to each output tile before it is scattered is exactly the
+ * epilogue on the whole ofmap — one fewer pass over the output.
+ * Positions of phases with no kernel taps receive the epilogue of
+ * zero.
  */
 Tensor transformedDeconv(const Tensor &input, const Tensor &weight,
                          const tensor::DeconvSpec &spec,

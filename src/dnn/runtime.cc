@@ -6,8 +6,6 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "deconv/transform.hh"
-#include "tensor/deconv.hh"
 
 namespace asv::dnn
 {
@@ -23,48 +21,6 @@ float
 reluRef(float v)
 {
     return v > 0.0f ? v : 0.0f;
-}
-
-/** Fill one empty phase (no kernel taps) with the epilogue of zero:
- *  relu ? max-like(bias) : bias, per filter. */
-void
-gatherFill(const Shape &counts, const Shape &stride,
-           const Shape &phase, const std::vector<float> &bias,
-           bool relu, Tensor &out, const ExecContext &ctx)
-{
-    const int nd = static_cast<int>(out.rank()) - 1;
-    const int64_t *ostr = out.strides().data() + 1;
-    const int64_t ochan = out.strides()[0];
-    const int64_t inner = counts[nd - 1];
-    const int64_t inner_step = stride[nd - 1];
-    ctx.parallelFor(0, out.dim(0), [&](int64_t f0, int64_t f1) {
-        int64_t o[kMaxDims];
-        for (int64_t f = f0; f < f1; ++f) {
-            float v = bias.empty() ? 0.0f : bias[f];
-            if (relu)
-                v = reluRef(v);
-            float *obase = out.data() + f * ochan;
-            for (int d = 0; d + 1 < nd; ++d)
-                o[d] = 0;
-            while (true) {
-                int64_t ooff = phase[nd - 1];
-                for (int d = 0; d + 1 < nd; ++d)
-                    ooff += (o[d] * stride[d] + phase[d]) * ostr[d];
-                float *dst = obase + ooff;
-                for (int64_t j = 0; j < inner; ++j)
-                    dst[j * inner_step] = v;
-                int d = nd - 2;
-                while (d >= 0) {
-                    if (++o[d] < counts[d])
-                        break;
-                    o[d] = 0;
-                    --d;
-                }
-                if (d < 0)
-                    break;
-            }
-        }
-    });
 }
 
 /** Max pooling (no padding), serial reduction order per output. */
@@ -192,72 +148,10 @@ NetworkRuntime::NetworkRuntime(const Network &net, uint64_t seed)
                 st.conv.padLo = l.pad;
                 st.conv.padHi = l.pad;
             } else {
-                st.stride = l.stride;
-                st.pad = l.pad;
-                const deconv::TransformedLayer plan =
-                    deconv::transformLayer(l);
-                for (const deconv::SubConv &sc : plan.subConvs) {
-                    Sub sub;
-                    sub.counts = sc.outExtents();
-                    if (std::any_of(sub.counts.begin(),
-                                    sub.counts.end(),
-                                    [](int64_t c) { return c == 0; }))
-                        continue; // phase has no output positions
-                    sub.phase.resize(nd);
-                    for (int d = 0; d < nd; ++d)
-                        sub.phase[d] = sc.dims[d].phase;
-                    if (sc.empty()) {
-                        // Positions exist but no kernel taps overlap:
-                        // filled with the epilogue of zero.
-                        sub.emptyPhase = true;
-                        st.anyEmptySub = true;
-                        st.subs.push_back(std::move(sub));
-                        continue;
-                    }
-                    sub.kernel = deconv::extractSubKernel(
-                        st.weight, sc, l.stride);
-                    // Map the ifmap shift m0 to a leading crop
-                    // (m0 > 0) or leading padding (m0 < 0); trailing
-                    // pad/crop sizes the output to `count` positions
-                    // (same arithmetic as transformedDeconv).
-                    sub.cropLo.resize(nd);
-                    Shape crop_hi(nd);
-                    sub.spec.stride.assign(nd, 1);
-                    sub.spec.padLo.resize(nd);
-                    sub.spec.padHi.resize(nd);
-                    for (int d = 0; d < nd; ++d) {
-                        const deconv::DimPlan &dp = sc.dims[d];
-                        sub.cropLo[d] =
-                            std::max<int64_t>(0, dp.inOffset);
-                        sub.spec.padLo[d] =
-                            std::max<int64_t>(0, -dp.inOffset);
-                        const int64_t len =
-                            cur[1 + d] - sub.cropLo[d];
-                        panic_if(len < 1,
-                                 "sub-conv crop removed entire input");
-                        const int64_t ph = dp.count - 1 + dp.taps -
-                                           sub.spec.padLo[d] - len;
-                        sub.spec.padHi[d] =
-                            std::max<int64_t>(0, ph);
-                        crop_hi[d] = std::max<int64_t>(0, -ph);
-                        if (sub.cropLo[d] > 0 || crop_hi[d] > 0)
-                            sub.needCrop = true;
-                    }
-                    if (sub.needCrop) {
-                        Shape cs;
-                        cs.push_back(cur[0]);
-                        for (int d = 0; d < nd; ++d)
-                            cs.push_back(cur[1 + d] - sub.cropLo[d] -
-                                         crop_hi[d]);
-                        sub.cropped = Tensor(cs);
-                    }
-                    Shape os;
-                    os.push_back(l.outChannels);
-                    for (int64_t c : sub.counts)
-                        os.push_back(c);
-                    sub.out = Tensor(os);
-                    st.subs.push_back(std::move(sub));
-                }
+                st.deconvSpec.stride = l.stride;
+                st.deconvSpec.pad = l.pad;
+                st.plan =
+                    deconv::compilePlan(cur, st.weight, st.deconvSpec);
             }
             break;
           }
@@ -284,29 +178,6 @@ NetworkRuntime::NetworkRuntime(const Network &net, uint64_t seed)
     output_shape_ = cur;
 }
 
-void
-NetworkRuntime::runDeconv(Step &st, const Tensor &in,
-                          const ExecContext &ctx)
-{
-    for (Sub &sub : st.subs) {
-        if (sub.emptyPhase) {
-            gatherFill(sub.counts, st.stride, sub.phase, st.bias,
-                       st.relu, st.out, ctx);
-            continue;
-        }
-        const Tensor *src = &in;
-        if (sub.needCrop) {
-            deconv::cropInto(in, sub.cropLo, sub.cropped, ctx);
-            src = &sub.cropped;
-        }
-        const tensor::ConvEpilogue epi{st.bias.data(), st.relu};
-        tensor::convNdInto(*src, sub.kernel, sub.spec, &epi, ctx,
-                           sub.out);
-        deconv::gatherPhase(sub.out, st.stride, sub.phase, st.out,
-                            ctx);
-    }
-}
-
 const Tensor &
 NetworkRuntime::forward(const Tensor &input, const ExecContext &ctx)
 {
@@ -323,9 +194,11 @@ NetworkRuntime::forward(const Tensor &input, const ExecContext &ctx)
                                st.out);
             break;
           }
-          case LayerKind::Deconv:
-            runDeconv(st, *cur, ctx);
+          case LayerKind::Deconv: {
+            const tensor::ConvEpilogue epi{st.bias.data(), st.relu};
+            deconv::runPlan(st.plan, *cur, &epi, ctx, st.out);
             break;
+          }
           case LayerKind::Activation:
             runRelu(*cur, st.out, ctx);
             break;
@@ -359,10 +232,8 @@ NetworkRuntime::referenceForward(const Tensor &input,
                 o = tensor::convNd(cur, st.weight, st.conv,
                                    tensor::ConvOp::MAC, &stats, ctx);
             } else {
-                tensor::DeconvSpec dspec;
-                dspec.stride = st.stride;
-                dspec.pad = st.pad;
-                o = tensor::deconvNd(cur, st.weight, dspec, &stats);
+                o = tensor::deconvNd(cur, st.weight, st.deconvSpec,
+                                     &stats);
             }
             const int64_t K = o.dim(0);
             const int64_t P = o.size() / std::max<int64_t>(K, 1);

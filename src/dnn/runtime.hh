@@ -9,26 +9,28 @@
  * that IR into an executable plan and runs it on real tensors
  * through the dispatched f32 SIMD kernels:
  *
- *  - Conv layers lower to tensor::convNdInto — the im2col-or-direct
- *    GEMM route — with the following Activation layer fused into the
+ *  - Conv layers lower to tensor::convNdInto — the implicit-GEMM
+ *    route — with the following Activation layer fused into the
  *    per-filter bias+ReLU epilogue;
- *  - Deconv layers run the Sec. 4.1 transformation: sub-kernels are
- *    extracted once at construction, each sub-convolution runs as a
- *    dense stride-1 convNdInto (epilogue fused — sub-convolutions
- *    write disjoint ofmap phases, so this is exact), and the
- *    interleaved ofmap is gathered with allocation-free odometer
- *    loops;
+ *  - Deconv layers run the Sec. 4.1 transformation through one
+ *    deconv::Plan compiled at construction (sub-kernels extracted
+ *    once): deconv::runPlan feeds every phase from the shared ifmap
+ *    and scatters each epilogued output tile straight into the
+ *    strided ofmap;
  *  - Activation (ReLU) and Pooling (max) execute directly;
  *  - FullyConnected and CostVolume layers are analytic-only and
  *    rejected, as are IR chains whose shapes do not actually chain
  *    (NetworkBuilder::setChannels / concatChannels splices).
  *
- * Everything a frame needs — weights, biases, sub-kernels, crop
- * buffers, every intermediate activation — is allocated at
- * construction; forward() performs zero heap allocations once the
- * ExecContext's BufferPool has warmed up (its im2col scratch is the
- * only pooled acquisition). This is the "dnn" entry enforced exactly
- * by alloc_baseline_test / BASELINE_alloc.json.
+ * Everything a frame needs — weights, biases, sub-kernels, every
+ * intermediate activation — is allocated at construction; forward()
+ * performs zero heap allocations once the ExecContext's BufferPool
+ * has warmed up. Its only pooled acquisition is the GEMM route's
+ * per-chunk scratch (one packed block plus one output tile per
+ * worker, the same size for every layer), so the pool's footprint
+ * does not grow with the input's spatial size. This is the "dnn"
+ * entry enforced exactly by alloc_baseline_test /
+ * BASELINE_alloc.json.
  *
  * Determinism: forward() is bit-identical for any worker count and
  * across the fused SIMD levels (scalar / AVX2+FMA / NEON); SSE4.2
@@ -42,8 +44,10 @@
 #include <vector>
 
 #include "common/exec_context.hh"
+#include "deconv/transform.hh"
 #include "dnn/network.hh"
 #include "tensor/conv.hh"
+#include "tensor/deconv.hh"
 #include "tensor/tensor.hh"
 
 namespace asv::dnn
@@ -90,23 +94,16 @@ class NetworkRuntime
     /** Executable steps (fused Activation layers are absorbed). */
     size_t numSteps() const { return steps_.size(); }
 
-  private:
-    /** One sub-convolution of a transformed deconv step. */
-    struct Sub
-    {
-        Tensor kernel;         //!< extracted sub-kernel [K, C, taps..]
-        tensor::ConvSpec spec; //!< stride-1 + one-sided pads
-        Shape cropLo;          //!< leading input crop per dim
-        bool needCrop = false;
-        Tensor cropped;        //!< preallocated crop buffer
-        Shape phase;           //!< ofmap phase per dim
-        Shape counts;          //!< ofmap positions per dim
-        Tensor out;            //!< preallocated sub-conv output
-        /** taps == 0 in some dim: the phase's outputs carry no MACs
-         *  and are filled with the epilogue of zero. */
-        bool emptyPhase = false;
-    };
+    /** Weights [K, C, kernel...] of conv/deconv step @p i. */
+    const Tensor &weight(size_t i) const { return steps_.at(i).weight; }
 
+    /** Bias [K] of conv/deconv step @p i. */
+    const std::vector<float> &bias(size_t i) const
+    {
+        return steps_.at(i).bias;
+    }
+
+  private:
     struct Step
     {
         LayerKind kind = LayerKind::Conv;
@@ -114,16 +111,12 @@ class NetworkRuntime
         std::vector<float> bias; //!< per-filter bias [K]
         bool relu = false;       //!< fused following Activation
         tensor::ConvSpec conv;   //!< Conv lowering
-        Shape stride;            //!< Deconv upsampling stride
-        Shape pad;               //!< Deconv DL-convention padding
-        std::vector<Sub> subs;   //!< Deconv sub-convolutions
-        bool anyEmptySub = false;
+        tensor::DeconvSpec deconvSpec; //!< Deconv stride/padding
+        deconv::Plan plan;             //!< Deconv lowering
         Shape poolKernel;        //!< Pooling window
         Shape poolStride;        //!< Pooling stride
         Tensor out;              //!< preallocated step output
     };
-
-    void runDeconv(Step &st, const Tensor &in, const ExecContext &ctx);
 
     Shape input_shape_;
     Shape output_shape_;

@@ -22,12 +22,14 @@
  *
  * Execution routes (see docs/KERNELS.md for the accuracy contract):
  *  - MAC with no stats requested rides the dispatched f32 GEMM
- *    kernels (asv::simd) behind an im2col-or-direct lowering with
- *    BufferPool-backed scratch — the fast path behind
- *    transformedDeconv and dnn::NetworkRuntime. f32 fused-multiply-
- *    add accumulation, bit-identical across worker counts and across
- *    the fused SIMD levels (scalar/AVX2/NEON); SSE4.2 agrees to
- *    documented tolerance.
+ *    kernels (asv::simd) as an implicit GEMM: each task packs its
+ *    block of the im2col matrix straight from the input into
+ *    per-chunk BufferPool scratch, so the matrix is never
+ *    materialized — the fast path behind transformedDeconv and
+ *    dnn::NetworkRuntime. f32 fused-multiply-add accumulation,
+ *    bit-identical across worker counts and across the fused SIMD
+ *    levels (scalar/AVX2/NEON); SSE4.2 agrees to documented
+ *    tolerance.
  *  - SAD, and any call carrying a ConvStats sink, runs the reference
  *    loop nest: double-precision accumulation and exact per-tap op
  *    counters, bit-identical across worker counts.
@@ -37,6 +39,7 @@
 #define ASV_TENSOR_CONV_HH
 
 #include <cstdint>
+#include <span>
 
 #include "common/exec_context.hh"
 #include "tensor/tensor.hh"
@@ -100,6 +103,47 @@ struct ConvEpilogue
  */
 constexpr int kGemmKBlock = 256;
 
+/**
+ * Output columns per GEMM task (NC): a kGemmKBlock x kGemmPanel
+ * packed block of the column matrix is 192 KiB, sized to stay in L2
+ * while a chunk's filter tiles reuse it. A multiple of every
+ * table's register-block width (24 / 8 / 16 columns).
+ */
+constexpr int kGemmPanel = 192;
+
+/**
+ * Filters per output tile of a scattered phase: a tile is as large
+ * as the packed block, so a chunk's scratch is
+ * (kGemmKBlock + kGemmTileFilters) x kGemmPanel floats for every
+ * layer shape.
+ */
+constexpr int kGemmTileFilters = kGemmKBlock;
+
+/** Spatial-rank ceiling of the GEMM route's stack-array odometers
+ *  (no heap in the steady state); the paper's workloads are 2-D. */
+constexpr int kMaxSpatialDims = 4;
+
+/**
+ * One dense stride-s sub-convolution of an implicit-GEMM pass — a
+ * whole convolution, or one output phase of a transformed
+ * deconvolution (deconv::Plan). Output position o (per spatial dim,
+ * o < counts) reduces over channels c and kernel taps t the input at
+ * origin + o * stride + t (zero outside the input) against the
+ * phase's [K x C * taps] row-major sub-kernel, and lands in the
+ * ofmap at offset + o * step. A phase with 0 taps in some dim has no
+ * reduction: its positions receive the epilogue of zero.
+ */
+struct GemmPhase
+{
+    int64_t weightOffset = 0;           //!< sub-kernel start in weights
+    int64_t taps[kMaxSpatialDims] = {}; //!< kernel extents (may be 0)
+    int64_t counts[kMaxSpatialDims] = {}; //!< output positions
+    int64_t origin[kMaxSpatialDims] = {}; //!< input coord at o = t = 0
+    int64_t stride[kMaxSpatialDims] = {}; //!< input step per o step
+    int64_t offset[kMaxSpatialDims] = {}; //!< ofmap coord at o = 0
+    int64_t step[kMaxSpatialDims] = {};   //!< ofmap step per o step
+};
+
 /** Output shape of convNd for the given input/weight/spec. */
 Shape convOutShape(const Shape &input, const Shape &weight,
                    const ConvSpec &spec);
@@ -139,10 +183,7 @@ Tensor convNd(const Tensor &input, const Tensor &weight,
 /**
  * MAC convolution into a preallocated output — the zero-allocation
  * fast path behind dnn::NetworkRuntime. Always the f32 GEMM route:
- * im2col (or direct for pointwise stride-1 unpadded layers) into
- * BufferPool scratch from @p ctx, then the dispatched gemmTile over
- * (filter tile x column panel) tasks with the reduction split into
- * kGemmKBlock-row blocks, and the optional fused epilogue. @p out
+ * gemmPhasesInto() with the convolution as its one phase. @p out
  * must already have shape convOutShape(...); its prior contents are
  * overwritten (no pre-zeroing needed) — the k-block partials live in
  * @p out itself. Performs no heap allocations once @p ctx's
@@ -151,6 +192,34 @@ Tensor convNd(const Tensor &input, const Tensor &weight,
 void convNdInto(const Tensor &input, const Tensor &weight,
                 const ConvSpec &spec, const ConvEpilogue *epilogue,
                 const ExecContext &ctx, Tensor &out);
+
+/**
+ * Implicit-GEMM execution of @p phases, all reading @p input
+ * [C, spatial...] and writing disjoint positions of @p out
+ * [K, spatial...]. One fan-out over (phase, column panel, filter
+ * tile) tasks, statically partitioned: each task packs its
+ * kGemmKBlock x kGemmPanel blocks of the phase's column matrix
+ * straight from @p input into per-chunk scratch (a pointwise
+ * stride-1 unpadded phase reads @p input itself), runs the
+ * dispatched gemmTile over them, applies the optional epilogue, and
+ * — unless the phase covers @p out densely — scatters its output
+ * tile into the strided ofmap. Bit-identical to one unbroken fmaf
+ * chain per output on the fused levels, for any worker count.
+ * Sub-kernels live at @p weights + GemmPhase::weightOffset.
+ */
+void gemmPhasesInto(const Tensor &input, const float *weights,
+                    std::span<const GemmPhase> phases,
+                    const ConvEpilogue *epilogue,
+                    const ExecContext &ctx, Tensor &out);
+
+/**
+ * Write rows [f0, f1) x phase columns [j0, j0 + n) — @p rows holds
+ * row f at rows + (f - f0) * ld — to their ofmap positions in
+ * @p out (see GemmPhase). The scatter epilogue of gemmPhasesInto().
+ */
+void scatterPhase(const GemmPhase &phase, const float *rows, int64_t ld,
+                  int64_t f0, int64_t f1, int64_t j0, int64_t n,
+                  Tensor &out);
 
 } // namespace asv::tensor
 

@@ -244,7 +244,6 @@ sgmCostVolume(const image::Image &left, const image::Image &right,
 
     CostVolume vol;
     vol.acquire(ctx.buffers(), w, h, nd);
-    const simd::Kernels &k = simd::kernels();
     ctx.parallelFor(0, h, [&](int64_t y0, int64_t y1) {
         for (int y = int(y0); y < int(y1); ++y) {
             const uint64_t *l = cl.data() + int64_t(y) * w;
@@ -252,13 +251,10 @@ sgmCostVolume(const image::Image &left, const image::Image &right,
             for (int d = 0; d < nd; ++d) {
                 uint16_t *out = vol.row(y, d);
                 // x < d clamps the right coordinate to column 0.
-                const int p = std::min(d, w);
-                for (int x = 0; x < p; ++x) {
+                for (int x = 0; x < w; ++x) {
                     out[x] = static_cast<uint16_t>(
-                        std::popcount(l[x] ^ r[0]));
+                        std::popcount(l[x] ^ r[std::max(x - d, 0)]));
                 }
-                if (w > d)
-                    k.hammingRow(l + d, r, w - d, out + d);
             }
         }
     });

@@ -16,6 +16,10 @@
  *    may differ between software fmaf and hardware FMA);
  *  - biasReluRow is bit-identical on every level, and its ReLU sends
  *    NaN, -0 and -inf to +0 (`v > 0 ? v : +0`);
+ *  - deconv::Plan (transformedDeconv and NetworkRuntime's deconv
+ *    layers) matches the per-phase crop -> convGemm -> gather
+ *    oracle bit for bit on the fused levels, and the GEMM route's
+ *    pooled scratch does not grow with the input's spatial size;
  *  - NetworkRuntime::forward is allocation-free in the steady state
  *    and equivalent to the zero-insertion double-accumulation
  *    reference within an explicit tolerance.
@@ -40,6 +44,7 @@
 #include "dnn/network.hh"
 #include "dnn/runtime.hh"
 #include "reference/conv_gemm_reference.hh"
+#include "reference/deconv_reference.hh"
 #include "tensor/conv.hh"
 #include "tensor/deconv.hh"
 #include "tensor/tensor.hh"
@@ -695,6 +700,266 @@ TEST(TransformedDeconvF32, FusedEpilogueMatchesSeparatePass)
     // Disjoint-phase fusion is exact: bitwise.
     expectBitEqual(fused.data(), manual.data(), size_t(fused.size()),
                    "fused deconv epilogue");
+}
+
+// ------------------------------------------------------------ deconv::Plan
+
+/** One deconvolution shape for the plan-vs-oracle sweep. */
+struct DeconvCase
+{
+    std::string name;
+    Shape in, w;
+    tensor::DeconvSpec spec;
+};
+
+tensor::DeconvSpec
+deconvSpec(Shape stride, Shape pad)
+{
+    tensor::DeconvSpec spec;
+    spec.stride = std::move(stride);
+    spec.pad = std::move(pad);
+    return spec;
+}
+
+std::vector<DeconvCase>
+deconvCases()
+{
+    using tensor::DeconvSpec;
+    return {
+        // The DispNet upconv geometry: four 2 x 2 phases.
+        {"k4s2p1", {5, 9, 11}, {6, 5, 4, 4}, DeconvSpec::uniform(2, 2, 1)},
+        // q = k - 1 - p = 0: phase 1's ifmap shift is +1 (a leading
+        // crop, i.e. a positive origin).
+        {"crop", {3, 7, 8}, {5, 3, 3, 3}, DeconvSpec::uniform(2, 2, 2)},
+        // k < s: one phase per dim has no taps (epilogue of zero).
+        {"empty_phases", {2, 5, 6}, {3, 2, 2, 2},
+         DeconvSpec::uniform(2, 3, 0)},
+        {"asym_stride", {4, 6, 5}, {5, 4, 4, 3}, deconvSpec({2, 3}, {1, 0})},
+        {"1d", {4, 37}, {5, 4, 4}, DeconvSpec::uniform(1, 2, 1)},
+        {"3d", {3, 4, 5, 6}, {4, 3, 3, 4, 3}, DeconvSpec::uniform(3, 2, 1)},
+        // 20 x 23 positions per phase = 192 + 192 + 76 (ragged last
+        // panel); R = 70 * 4 = 280 spans two k-blocks.
+        {"ragged_panels", {70, 20, 23}, {6, 70, 4, 4},
+         DeconvSpec::uniform(2, 2, 1)},
+        {"k1_filter", {8, 9, 10}, {1, 8, 4, 4}, DeconvSpec::uniform(2, 2, 1)},
+        // K > kGemmTileFilters: a chunk's filter range fills the
+        // output tile more than once.
+        {"k261", {2, 3, 4}, {261, 2, 4, 4}, DeconvSpec::uniform(2, 2, 1)},
+    };
+}
+
+/**
+ * @p got against the oracle's @p want: memcmp on fused levels; on
+ * the mul-then-add lane within the classical forward error bound of
+ * a @p k-step chain, 1.01 (k + 1) 2^-23 (sum |a b| + |bias|), with
+ * the magnitudes @p mag computed by the oracle on absolute values
+ * (ReLU is 1-Lipschitz, so the bound survives it).
+ */
+void
+expectMatchesOracle(const Tensor &got, const Tensor &want,
+                    const Tensor &mag, int64_t k, bool fused,
+                    const std::string &what)
+{
+    ASSERT_EQ(got.shape(), want.shape()) << what;
+    if (fused) {
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              size_t(got.size()) * sizeof(float)),
+                  0)
+            << what;
+        return;
+    }
+    for (int64_t i = 0; i < got.size(); ++i) {
+        const double tol = 1.01 * double(k + 1) * 0x1p-23 *
+                           std::abs(double(mag.data()[i]));
+        ASSERT_NEAR(got.data()[i], want.data()[i], tol)
+            << what << ": element " << i;
+    }
+}
+
+Tensor
+absTensor(const Tensor &t)
+{
+    Tensor a(t.shape());
+    for (int64_t i = 0; i < t.size(); ++i)
+        a.data()[i] = std::abs(t.data()[i]);
+    return a;
+}
+
+void
+checkPlanAgainstReference(bool with_epilogue)
+{
+    Rng rng(61);
+    for (const DeconvCase &dc : deconvCases()) {
+        const Tensor in = randomTensor(dc.in, rng);
+        const Tensor w = randomTensor(dc.w, rng);
+        std::vector<float> bias = randomVec(size_t(dc.w[0]), rng, -0.5, 0.5);
+        tensor::ConvEpilogue epi{bias.data(), true};
+        const tensor::ConvEpilogue *ep = with_epilogue ? &epi : nullptr;
+        const Tensor want = deconv::reference::deconv(in, w, dc.spec, ep);
+        std::vector<float> abs_bias(bias.size());
+        for (size_t f = 0; f < bias.size(); ++f)
+            abs_bias[f] = with_epilogue ? std::abs(bias[f]) : 0.0f;
+        const tensor::ConvEpilogue abs_epi{abs_bias.data(), false};
+        const Tensor mag = deconv::reference::deconv(
+            absTensor(in), absTensor(w), dc.spec, &abs_epi);
+        const int64_t reduction = w.size() / w.dim(0);
+        const deconv::Plan plan =
+            deconv::compilePlan(in.shape(), w, dc.spec);
+        for (simd::Level level : supportedLevels()) {
+            LevelGuard g(level);
+            const bool fused = simd::kernelsFor(level)->fusedF32;
+            for (int threads : {1, 2, 3, 4}) {
+                ThreadPool pool(threads);
+                BufferPool buffers;
+                const ExecContext ctx(pool, buffers);
+                const std::string what =
+                    dc.name + " " + simd::levelName(level) +
+                    " threads=" + std::to_string(threads);
+                const Tensor got =
+                    with_epilogue
+                        ? deconv::transformedDeconv(in, w, dc.spec, epi,
+                                                    nullptr, ctx)
+                        : deconv::transformedDeconv(in, w, dc.spec,
+                                                    nullptr, ctx);
+                expectMatchesOracle(got, want, mag, reduction, fused,
+                                    what);
+                // The compiled plan, run twice into one poisoned
+                // output: every position is written each time.
+                Tensor again(plan.outShape);
+                for (int rep = 0; rep < 2; ++rep) {
+                    again.fill(std::numeric_limits<float>::quiet_NaN());
+                    deconv::runPlan(plan, in, ep, ctx, again);
+                    expectMatchesOracle(again, want, mag, reduction,
+                                        fused, what + " runPlan");
+                }
+            }
+        }
+    }
+}
+
+TEST(DeconvPlan, MatchesReferenceBitwiseOnFusedLevels)
+{
+    checkPlanAgainstReference(/*with_epilogue=*/false);
+}
+
+TEST(DeconvPlan, MatchesReferenceWithEpilogue)
+{
+    checkPlanAgainstReference(/*with_epilogue=*/true);
+}
+
+/**
+ * A chain with every deconv geometry the plan distinguishes — k4 s2
+ * p1, a leading crop, k < s empty phases — plus convs, run through
+ * NetworkRuntime::forward and, step by step with the runtime's own
+ * weights, through the conv and deconv oracles.
+ */
+TEST(DeconvPlan, NetworkRuntimeMatchesReference)
+{
+    dnn::NetworkBuilder nb("plan-chain", 5, {7, 9});
+    nb.conv("c1", 6, 3, 1, 1, dnn::Stage::FeatureExtraction);
+    nb.activation("r1");
+    nb.deconv("k4s2p1", 5, 4, 2, 1, dnn::Stage::DisparityRefinement);
+    nb.activation("r2");
+    nb.deconv("crop", 4, 3, 2, 2, dnn::Stage::DisparityRefinement);
+    nb.deconv("empty", 3, 2, 3, 0, dnn::Stage::DisparityRefinement);
+    nb.activation("r3");
+    nb.conv("head", 1, 3, 1, 1, dnn::Stage::DisparityRefinement);
+    const dnn::Network net = nb.build();
+    dnn::NetworkRuntime rt(net, 17);
+    ASSERT_EQ(rt.numSteps(), 5u);
+
+    Rng rng(67);
+    const Tensor in = randomTensor(rt.inputShape(), rng);
+    // The same chain through the oracles, and the error-bound
+    // magnitudes through them on absolute values.
+    Tensor want = in, mag = absTensor(in);
+    int64_t depth = 0; // reduction steps along the longest chain
+    const bool relu[] = {true, true, false, true, false};
+    size_t step = 0;
+    for (const dnn::LayerDesc &l : net.layers()) {
+        if (l.kind == dnn::LayerKind::Activation)
+            continue;
+        const Tensor &w = rt.weight(step);
+        const tensor::ConvEpilogue epi{rt.bias(step).data(),
+                                       relu[step]};
+        std::vector<float> abs_bias = rt.bias(step);
+        for (float &b : abs_bias)
+            b = std::abs(b);
+        const tensor::ConvEpilogue abs_epi{abs_bias.data(), false};
+        if (l.kind == dnn::LayerKind::Conv) {
+            const auto spec = tensor::ConvSpec::uniform(2, l.stride[0],
+                                                        l.pad[0]);
+            want = tensor::reference::convGemm(want, w, spec, &epi);
+            mag = tensor::reference::convGemm(mag, absTensor(w), spec,
+                                              &abs_epi);
+        } else {
+            const auto spec = tensor::DeconvSpec::uniform(2, l.stride[0],
+                                                          l.pad[0]);
+            want = deconv::reference::deconv(want, w, spec, &epi);
+            mag = deconv::reference::deconv(mag, absTensor(w), spec,
+                                            &abs_epi);
+        }
+        depth += w.size() / w.dim(0) + 1;
+        ++step;
+    }
+
+    for (simd::Level level : supportedLevels()) {
+        LevelGuard g(level);
+        const bool fused = simd::kernelsFor(level)->fusedF32;
+        for (int threads : {1, 2, 3, 4}) {
+            ThreadPool pool(threads);
+            BufferPool buffers;
+            const Tensor &got = rt.forward(in, ExecContext(pool, buffers));
+            // Per-layer rounding compounds through the chain; the
+            // summed step counts bound it to first order.
+            expectMatchesOracle(got, want, mag, depth, fused,
+                                std::string(simd::levelName(level)) +
+                                    " threads=" +
+                                    std::to_string(threads));
+        }
+    }
+}
+
+/**
+ * The GEMM route's only pooled memory is one packed block plus one
+ * output tile per worker: after a forward pass the pool holds at
+ * most that, and the same bytes when the input's spatial size
+ * doubles (a materialized R x P column matrix grew with it).
+ */
+TEST(GemmScratch, PoolFootprintBoundedAndSizeIndependent)
+{
+    const auto resident = [](int64_t h, int64_t w, int threads) {
+        dnn::NetworkBuilder nb("footprint", 6, {h, w});
+        nb.conv("conv1", 16, 7, 2, 3, dnn::Stage::FeatureExtraction);
+        nb.activation("relu1");
+        nb.conv("conv2", 32, 5, 2, 2, dnn::Stage::FeatureExtraction);
+        nb.activation("relu2");
+        nb.deconv("upconv2", 16, 4, 2, 1,
+                  dnn::Stage::DisparityRefinement);
+        nb.activation("relu_u2");
+        nb.deconv("upconv1", 8, 4, 2, 1,
+                  dnn::Stage::DisparityRefinement);
+        nb.conv("pr1", 1, 3, 1, 1, dnn::Stage::DisparityRefinement);
+        dnn::NetworkRuntime rt(nb.build(), 3);
+        Rng rng(71);
+        const Tensor in = randomTensor(rt.inputShape(), rng);
+        ThreadPool pool(threads);
+        BufferPool buffers;
+        rt.forward(in, ExecContext(pool, buffers));
+        return buffers.stats().residentBytes;
+    };
+    const uint64_t scratch_bytes =
+        uint64_t(tensor::kGemmKBlock + tensor::kGemmTileFilters) *
+        tensor::kGemmPanel * sizeof(float);
+    for (int threads : {1, 2, 4}) {
+        const uint64_t small = resident(24, 40, threads);
+        const uint64_t large = resident(48, 80, threads);
+        // One cache line of alignment slack per buffer.
+        EXPECT_LE(small, threads * scratch_bytes + 64)
+            << "threads=" << threads;
+        EXPECT_GT(small, 0u) << "threads=" << threads;
+        EXPECT_EQ(small, large) << "threads=" << threads;
+    }
 }
 
 // --------------------------------------------------------- NetworkRuntime

@@ -5,7 +5,7 @@
  *
  * The contract under test is bit-identity: every ASV_SIMD level must
  * produce output bit-identical to the scalar reference for census,
- * Hamming cost rows, SAD spans, and the full SGM / block-matching
+ * fused cost rows, SAD spans, and the full SGM / block-matching
  * pipelines (including through the Matcher registry), across odd
  * image sizes, sub-vector tails, census radii 1-3, and disparity
  * ranges that are not a multiple of any vector lane width. The
@@ -147,34 +147,6 @@ TEST(SimdDispatch, SetLevelRoundTrips)
 }
 
 // ---------------------------------------------------------- kernel level
-
-TEST(SimdKernels, HammingRowMatchesScalarOnOddLengths)
-{
-    const simd::Kernels *scalar =
-        simd::kernelsFor(simd::Level::Scalar);
-    ASSERT_NE(scalar, nullptr);
-    Rng rng(11);
-    for (simd::Level level : supportedLevels()) {
-        const simd::Kernels *k = simd::kernelsFor(level);
-        ASSERT_NE(k, nullptr);
-        for (int n : {1, 2, 3, 5, 7, 8, 9, 31, 64, 65, 127}) {
-            std::vector<uint64_t> a(n), b(n);
-            for (int i = 0; i < n; ++i) {
-                a[i] = uint64_t(rng.uniformInt64(
-                    std::numeric_limits<int64_t>::min(),
-                    std::numeric_limits<int64_t>::max()));
-                b[i] = uint64_t(rng.uniformInt64(
-                    std::numeric_limits<int64_t>::min(),
-                    std::numeric_limits<int64_t>::max()));
-            }
-            std::vector<uint16_t> ref(n), got(n);
-            scalar->hammingRow(a.data(), b.data(), n, ref.data());
-            k->hammingRow(a.data(), b.data(), n, got.data());
-            EXPECT_EQ(ref, got)
-                << simd::levelName(level) << " n=" << n;
-        }
-    }
-}
 
 TEST(SimdKernels, SadSpanMatchesScalarOnOddSpans)
 {
