@@ -123,11 +123,13 @@ main(int argc, char **argv)
         }
         std::printf("[hb] streams %zu  fps %7.1f  ring %d/%d  "
                     "queued %d  shed %lld  util %4.0f%%  pool-hit "
-                    "%4.1f%%\n",
+                    "%4.1f%%  pool-resident %.1f MB\n",
                     st.streams.size(), fps, st.ringDepth,
                     st.ringCapacity, depth,
                     static_cast<long long>(shed),
-                    100.0 * st.utilization, 100.0 * st.poolHitRate);
+                    100.0 * st.utilization, 100.0 * st.poolHitRate,
+                    static_cast<double>(st.poolResidentBytes) /
+                        (1024.0 * 1024.0));
     });
 
     std::printf("serving %d streams x %d frames (%d workers)\n",

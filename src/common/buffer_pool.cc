@@ -67,6 +67,7 @@ BufferPool::stats() const
     s.trimmedBuffers = state_->trimmedBuffers_;
     s.residentBytes = state_->residentBytes_;
     s.residentBuffers = state_->residentBuffers_;
+    s.outstandingBytes = state_->outstandingBytes_;
     s.highWaterBytes = state_->highWaterBytes_;
     return s;
 }

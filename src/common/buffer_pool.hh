@@ -31,10 +31,11 @@
  *    shared_ptr to the pool's internal state. Destroying the pool
  *    closes the state: outstanding handles keep working and simply
  *    free their storage on destruction instead of shelving it.
- *  - **Stats + bounded growth.** hits/misses/resident bytes are
- *    queryable (see stats()); setHighWaterBytes() arms an eviction
- *    policy that trims idle buffers, largest first, whenever a
- *    release would push the idle footprint past the mark. trim()
+ *  - **Stats + bounded growth.** hits/misses, idle (resident) and
+ *    checked-out (outstanding) bytes are queryable (see stats());
+ *    setHighWaterBytes() arms an eviction policy that trims idle
+ *    buffers, largest first, whenever a release would push the
+ *    idle footprint past the mark. trim()
  *    evicts on demand — pipelines call trim(0) on a mid-stream
  *    resolution change so stale-shape buffers do not accumulate.
  *
@@ -99,9 +100,11 @@ class PoolState
                 ++hits_;
                 residentBytes_ -= v.capacity() * sizeof(T);
                 --residentBuffers_;
+                outstandingBytes_ += v.capacity() * sizeof(T);
                 recycled = true;
             } else {
                 ++misses_;
+                outstandingBytes_ += count * sizeof(T);
             }
         }
         if (!recycled)
@@ -130,6 +133,9 @@ class PoolState
             MutexLock lock(mutex_);
             if (closed_)
                 return; // drop: ~vector frees after unlock
+            // A holder that regrew the buffer returns more than it
+            // took; clamp rather than wrap.
+            outstandingBytes_ -= std::min(outstandingBytes_, bytes);
             auto &shelf = std::get<Shelf<T>>(shelves_);
             shelf[key].push_back(std::move(v));
             residentBytes_ += bytes;
@@ -164,6 +170,7 @@ class PoolState
     uint64_t trimmedBuffers_ ASV_GUARDED_BY(mutex_) = 0;
     uint64_t residentBytes_ ASV_GUARDED_BY(mutex_) = 0;
     uint64_t residentBuffers_ ASV_GUARDED_BY(mutex_) = 0;
+    uint64_t outstandingBytes_ ASV_GUARDED_BY(mutex_) = 0;
     uint64_t highWaterBytes_ ASV_GUARDED_BY(mutex_) = 0;
 };
 
@@ -244,7 +251,8 @@ class PoolHandle
 
 /**
  * The arena: see the file comment for the design. One per pipeline
- * (IsmPipeline / StreamPipeline own theirs), or the process-wide
+ * (IsmPipeline / StreamPipeline own theirs), one per serve::Server
+ * (shared by all its streams' pipelines), or the process-wide
  * global() for free-standing kernel calls.
  */
 class BufferPool
@@ -287,6 +295,9 @@ class BufferPool
         uint64_t trimmedBuffers = 0;  //!< buffers evicted by trim
         uint64_t residentBytes = 0;   //!< idle (shelved) bytes
         uint64_t residentBuffers = 0; //!< idle (shelved) buffers
+        //! checked out and not yet returned; with residentBytes,
+        //! everything the arena holds
+        uint64_t outstandingBytes = 0;
         uint64_t highWaterBytes = 0;  //!< trim threshold (0 = off)
     };
     Stats stats() const;

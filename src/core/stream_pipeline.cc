@@ -10,6 +10,29 @@
 namespace asv::core
 {
 
+namespace
+{
+
+/**
+ * Wrap a stage so its captures (frame snapshots, flow and
+ * disparity futures) are destroyed when the stage body returns —
+ * before the pool publishes the result — instead of whenever the
+ * worker gets round to destroying the task. Pooled buffers a stage
+ * read therefore go back to the arena by the time its future reads
+ * ready: a drained pipeline holds nothing of its finished frames.
+ */
+template <typename F>
+auto
+releasingCaptures(F fn)
+{
+    return [fn = std::move(fn)]() mutable {
+        F stage = std::move(fn);
+        return stage();
+    };
+}
+
+} // namespace
+
 struct StreamPipeline::FrameCompletion
 {
     explicit FrameCompletion(StreamPipeline *p) : pipeline(p) {}
@@ -60,7 +83,9 @@ StreamPipeline::StreamPipeline(
     StreamParams stream)
     : params_(std::move(params)),
       keyFrameSource_(std::move(key_frame_matcher)),
-      sequencer_(std::move(sequencer))
+      sequencer_(std::move(sequencer)),
+      buffers_(stream.buffers ? std::move(stream.buffers)
+                              : std::make_shared<BufferPool>())
 {
     fatal_if(params_.propagationWindow < 1,
              "propagation window must be >= 1");
@@ -148,8 +173,7 @@ StreamPipeline::frontReady() const
 }
 
 int64_t
-StreamPipeline::submit(const image::Image &left,
-                       const image::Image &right)
+StreamPipeline::submit(image::Image left, image::Image right)
 {
     panic_if(left.width() != right.width() ||
                  left.height() != right.height(),
@@ -182,24 +206,28 @@ StreamPipeline::submit(const image::Image &left,
         // never be recycled again; drop them so cycling resolutions
         // keeps resident bytes bounded. Frames still in flight at
         // the old size simply re-shelve on retirement and are
-        // trimmed at the next flip (or by setHighWaterBytes).
+        // trimmed at the next flip (or by setHighWaterBytes). On a
+        // shared arena this also drops other pipelines' idle
+        // buffers — never one in use — and they refill on demand.
         buffers_->trim(0);
     }
     const bool is_key = ismDecideKeyFrame(
         *sequencer_, left, frameIndex_, prevDisparity_.valid());
     ++frameIndex_;
 
-    // One snapshot per image (the caller may mutate its buffers
-    // after submit returns); the stage lambdas share the snapshot
-    // instead of deep-copying the frame per stage.
-    auto left_ptr = std::make_shared<const image::Image>(left);
-    auto right_ptr = std::make_shared<const image::Image>(right);
+    // The submitted images become the snapshot; the stage lambdas
+    // share it instead of deep-copying the frame per stage.
+    auto left_ptr = std::make_shared<const image::Image>(std::move(left));
+    auto right_ptr =
+        std::make_shared<const image::Image>(std::move(right));
 
     Slot slot;
     slot.keyFrame = is_key;
     slot.arithmeticOps =
-        is_key ? keyFrameSource_->ops(left.width(), left.height())
-               : nonKeyFrameOps(left.width(), left.height(), params_);
+        is_key ? keyFrameSource_->ops(left_ptr->width(),
+                                      left_ptr->height())
+               : nonKeyFrameOps(left_ptr->width(), left_ptr->height(),
+                                params_);
 
     if (is_key) {
         // Key-frame inference depends only on the submitted pair.
@@ -208,7 +236,8 @@ StreamPipeline::submit(const image::Image &left,
         // engine fails this frame loudly instead of corrupting the
         // frames propagating from it.
         slot.disparity =
-            pool_->submit([this, l = left_ptr, r = right_ptr]() {
+            pool_->submit(releasingCaptures([this, l = left_ptr,
+                                             r = right_ptr]() {
                      FrameCompletion done(this);
                      stereo::DisparityMap d = keyFrameSource_->compute(
                          *l, *r, ExecContext(*pool_, *buffers_));
@@ -228,24 +257,25 @@ StreamPipeline::submit(const image::Image &left,
                              std::to_string(l->width()) + "x" +
                              std::to_string(l->height()) + " pair");
                      return d;
-                 })
+                 }))
                 .share();
     } else {
         // Flow estimation — the dominant non-key cost — needs only
         // the two input frames: dispatch both sides eagerly, in
         // parallel with the predecessor still in flight.
         auto flow_l =
-            pool_->submit([this, from = prevLeft_, to = left_ptr]() {
+            pool_->submit(releasingCaptures([this, from = prevLeft_,
+                                             to = left_ptr]() {
                      return ismFlow(*from, *to, params_,
                                     ExecContext(*pool_, *buffers_));
-                 })
+                 }))
                 .share();
         auto flow_r =
-            pool_->submit(
-                     [this, from = prevRight_, to = right_ptr]() {
-                         return ismFlow(*from, *to, params_,
-                                        ExecContext(*pool_, *buffers_));
-                     })
+            pool_->submit(releasingCaptures([this, from = prevRight_,
+                                             to = right_ptr]() {
+                     return ismFlow(*from, *to, params_,
+                                    ExecContext(*pool_, *buffers_));
+                 }))
                 .share();
         // Propagation chains on the predecessor's disparity future.
         // Safe to block in a worker: FIFO execution means every
@@ -254,14 +284,15 @@ StreamPipeline::submit(const image::Image &left,
         // at a running, non-blocking stage.
         auto prev = prevDisparity_;
         slot.disparity =
-            pool_->submit([this, l = left_ptr, r = right_ptr,
-                           flow_l, flow_r, prev]() {
+            pool_->submit(releasingCaptures([this, l = left_ptr,
+                                             r = right_ptr, flow_l,
+                                             flow_r, prev]() {
                      FrameCompletion done(this);
                      return ismPropagate(*l, *r, prev.get(),
                                          flow_l.get(), flow_r.get(),
                                          params_,
                                          ExecContext(*pool_, *buffers_));
-                 })
+                 }))
                 .share();
     }
 
@@ -318,7 +349,8 @@ StreamPipeline::reset()
     prevDisparity_ = {};
     sequencer_->reset();
     // All in-flight work has retired (every future above is ready),
-    // so this empties the arena completely for the next sequence.
+    // so this empties a private arena completely for the next
+    // sequence (a shared one keeps what other pipelines hold).
     buffers_->trim(0);
 }
 

@@ -117,6 +117,18 @@ struct StreamParams
      * pipelines N - 1 stage executors.
      */
     std::shared_ptr<ThreadPool> sharedPool;
+
+    /**
+     * Draw every stage buffer from this arena instead of a private
+     * one — the asv::serve pattern again: co-resident pipelines
+     * share one BufferPool, so idle buffers serve whichever stream
+     * runs next and the resident set follows the frames in flight
+     * server-wide, not the number of streams. BufferPool is
+     * internally synchronized. A resolution change or reset() of
+     * any sharing pipeline trims the arena; that drops only idle
+     * buffers, never one another pipeline holds.
+     */
+    std::shared_ptr<BufferPool> buffers;
 };
 
 /**
@@ -163,9 +175,14 @@ class StreamPipeline
      * (updating the sequencer), dispatches the frame's stages, and
      * returns its ticket (0-based submission index, the order next()
      * delivers in). Blocks while maxInFlight frames are in flight.
+     *
+     * The images become the frame's snapshot, which the stages
+     * share and the next frame's flow reads: pass lvalues to copy
+     * them, or move them in (asv::serve hands over its pooled
+     * pairs this way) to submit without a copy. A moved-in pooled
+     * image returns to its arena when the snapshot is dropped.
      */
-    int64_t submit(const image::Image &left,
-                   const image::Image &right);
+    int64_t submit(image::Image left, image::Image right);
 
     /**
      * Deliver the oldest undelivered frame's result, blocking until
@@ -228,8 +245,10 @@ class StreamPipeline
 
     /**
      * The buffer arena every stage of every in-flight frame recycles
-     * through — private to this pipeline. BufferPool is internally
-     * synchronized, so concurrent stages share it safely.
+     * through: private to this pipeline, or StreamParams::buffers
+     * when one was injected (then shared with its other users).
+     * BufferPool is internally synchronized, so concurrent stages
+     * share it safely.
      */
     BufferPool &buffers() const { return *buffers_; }
 
@@ -254,14 +273,13 @@ class StreamPipeline
     int maxInFlight_ = 1;
     int workers_ = 1;
     std::shared_ptr<ThreadPool> pool_; //!< private or injected shared
-    std::shared_ptr<BufferPool> buffers_ =
-        std::make_shared<BufferPool>();
+    std::shared_ptr<BufferPool> buffers_; //!< private or injected
 
     // Submission-thread state, mirroring IsmPipeline exactly; an
     // invalid prevDisparity_ future plays the serial pipeline's
-    // "prevDisparity_.empty()" role. Frames are snapshotted once
-    // per submit into shared immutable images so the stage lambdas
-    // capture pointers, not deep copies. Driver-thread-only by the
+    // "prevDisparity_.empty()" role. Each submitted pair becomes a
+    // shared immutable snapshot so the stage lambdas capture
+    // pointers, not deep copies. Driver-thread-only by the
     // single-driver API contract (workers only ever see the
     // shared_ptr/shared_future copies the stage lambdas captured),
     // so none of it is mutex-protected — mutex_ below guards exactly

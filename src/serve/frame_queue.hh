@@ -1,6 +1,6 @@
 /**
  * @file
- * Bounded lock-free MPSC submission queue with pooled frame slots.
+ * Bounded lock-free MPSC submission queue with lent frame payloads.
  *
  * The serving frontend's ingestion edge: any number of client
  * threads enqueue stereo frames concurrently, one dispatcher thread
@@ -9,38 +9,43 @@
  * to a single consumer): a producer claims a cell with one CAS on
  * the enqueue cursor, fills it, and publishes it by bumping the
  * cell's sequence; the consumer spins on nothing and blocks on
- * nothing — an unpublished head cell just reads as "empty". There
- * is no mutex anywhere on the submission path, so a stalled client
- * can never wedge another client or the dispatcher, and a full
- * queue is reported to the producer (backpressure) instead of
- * blocking inside the queue.
+ * nothing — an unpublished head cell just reads as "empty". The
+ * ring itself has no mutex (the arena's acquire is one short
+ * critical section that no thread holds across a wait), so a
+ * stalled client can never wedge another client or the dispatcher,
+ * and a full queue is reported to the producer (backpressure)
+ * instead of blocking inside the queue.
  *
- * Pooled slots: each cell permanently owns the storage of one
- * left/right image pair. Producers *copy-assign* into the cell
- * (image::Image copy-assignment reuses the existing buffer when
- * capacity allows) and the consumer *swaps* payloads out, so after
- * one lap of the ring at steady frame shapes the queue performs
- * zero heap allocations in either direction — the serve hot path
- * contract (tests/serve_test.cpp guards it with AllocTracker).
+ * Lent payloads: a cell owns no pixel storage of its own. A
+ * producer acquires a left/right pair from the server's BufferPool
+ * arena and copies the client's pixels into it; the consumer
+ * *moves* the pair out, so an idle cell is just its header and the
+ * ring's resident memory follows the frames queued in it, not its
+ * capacity. The pair travels on by move (pending slot, pipeline
+ * snapshot) and goes back to the arena when its last holder drops
+ * it. Once the arena holds pairs of the frame shape, both
+ * directions are allocation-free — the serve hot path contract
+ * (tests/serve_test.cpp guards it with AllocTracker).
  *
  * Memory ordering: the CAS claims exclusive write access to the
  * cell; the release store of seq = pos + 1 publishes the payload;
  * the consumer's acquire load of seq synchronizes-with it. The
  * consumer's release store of seq = pos + capacity hands the cell
  * back to the producer that will claim position pos + capacity,
- * whose acquire load synchronizes-with that — so payload swaps by
- * the consumer happen-before the next producer's copy into the
- * same cell.
+ * whose acquire load synchronizes-with that — so the consumer's
+ * move out of a cell happens-before the next producer's fill.
  */
 
 #ifndef ASV_SERVE_FRAME_QUEUE_HH
 #define ASV_SERVE_FRAME_QUEUE_HH
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
+#include "common/buffer_pool.hh"
 #include "common/logging.hh"
 #include "image/image.hh"
 
@@ -57,7 +62,7 @@ using StreamId = int32_t;
 class FrameQueue
 {
   public:
-    /** One dequeued submission (storage swaps with the ring cell). */
+    /** One dequeued submission (its pair is moved out of the cell). */
     struct Item
     {
         StreamId stream = -1;
@@ -65,9 +70,10 @@ class FrameQueue
         image::Image right;
     };
 
-    explicit FrameQueue(int capacity)
+    /** @p arena lends every payload and must outlive the queue. */
+    FrameQueue(int capacity, BufferPool &arena)
         : mask_(roundUpPow2(capacity) - 1),
-          cells_(roundUpPow2(capacity))
+          cells_(roundUpPow2(capacity)), arena_(arena)
     {
         fatal_if(capacity < 1, "FrameQueue capacity must be >= 1");
         for (size_t i = 0; i < cells_.size(); ++i)
@@ -78,9 +84,9 @@ class FrameQueue
     FrameQueue &operator=(const FrameQueue &) = delete;
 
     /**
-     * Enqueue a frame for @p stream, copying both images into the
-     * claimed cell (buffer-reusing copies — allocation-free once
-     * the cell has seen this shape). Returns false when the ring is
+     * Enqueue a frame for @p stream, copying both images into a
+     * pair lent by the arena (allocation-free once the arena holds
+     * pairs of this shape). Returns false when the ring is
      * full: the caller decides whether that is backpressure (block
      * and retry) or rejection (report to the client). Safe from any
      * number of threads concurrently.
@@ -108,18 +114,16 @@ class FrameQueue
             }
         }
         cell->stream = stream;
-        cell->left = left;   // copy-assign: reuses cell capacity
-        cell->right = right; // (see image.hh)
+        cell->left = lend(left);
+        cell->right = lend(right);
         cell->seq.store(pos + 1, std::memory_order_release);
         return true;
     }
 
     /**
-     * Dequeue the oldest submission into @p out, swapping image
-     * storage between @p out and the cell (the cell inherits
-     * @p out's buffers for its next lap — keep feeding the same
-     * Item back in and the steady state allocates nothing).
-     * Single consumer only. Returns false when empty.
+     * Dequeue the oldest submission into @p out, moving its pair
+     * out of the cell (a pair still in @p out goes back to the
+     * arena first). Single consumer only. Returns false when empty.
      */
     bool
     tryDequeue(Item &out)
@@ -131,8 +135,8 @@ class FrameQueue
             0)
             return false; // head cell not published yet
         out.stream = cell.stream;
-        std::swap(out.left, cell.left);
-        std::swap(out.right, cell.right);
+        out.left = std::move(cell.left);
+        out.right = std::move(cell.right);
         cell.seq.store(dequeuePos_ + mask_ + 1,
                        std::memory_order_release);
         ++dequeuePos_;
@@ -159,6 +163,16 @@ class FrameQueue
     }
 
   private:
+    /** A pooled copy of @p src, drawn from the arena. */
+    image::Image
+    lend(const image::Image &src)
+    {
+        image::Image img = image::acquireImageUninit(
+            arena_, src.width(), src.height());
+        std::copy(src.data(), src.data() + src.size(), img.data());
+        return img;
+    }
+
     struct Cell
     {
         std::atomic<uint64_t> seq{0};
@@ -178,6 +192,7 @@ class FrameQueue
 
     const uint64_t mask_;
     std::vector<Cell> cells_;
+    BufferPool &arena_;
     alignas(64) std::atomic<uint64_t> enqueuePos_{0};
     // Consumer-private cursor plus a relaxed mirror for approxSize().
     alignas(64) uint64_t dequeuePos_ = 0;

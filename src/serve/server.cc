@@ -5,8 +5,11 @@
  * Everything the dispatcher owns — per-stream pending queues and the
  * ticket FIFOs mirroring each pipeline's reorder buffer — lives in
  * fixed-capacity rings whose elements are never destroyed, only
- * swapped, so the steady-state pass allocates nothing (the contract
- * in server.hh). The delivery-order invariant maintained throughout:
+ * swapped or moved into, so the steady-state pass allocates nothing
+ * (the contract in server.hh). Frame payloads are lent by the
+ * server's one arena and only ever moved: ring cell -> dispatcher
+ * scratch -> pending slot -> StreamPipeline snapshot, back to the
+ * arena when the snapshot is dropped or the frame is shed. The delivery-order invariant maintained throughout:
  * per stream, every result (Ok, Shed, Failed) is handed to the
  * callback in strictly increasing ticket order.
  *
@@ -81,9 +84,10 @@ class ServeSequencer : public core::KeyFrameSequencer
 
 /**
  * Fixed-capacity FIFO whose elements are constructed once and only
- * ever swapped — pop/remove rotate storage, never destroy it, so
- * element payloads (image buffers) keep circulating allocation-free.
- * Dispatcher-thread-only; not synchronized.
+ * ever swapped — pop/remove rotate slots, never destroy them, so the
+ * ring itself never allocates after construction. A rotated slot
+ * keeps whatever its element still holds until the next push
+ * overwrites it. Dispatcher-thread-only; not synchronized.
  */
 template <typename T>
 class BoundedRing
@@ -107,7 +111,7 @@ class BoundedRing
     T &front() { return at(0); }
     const T &front() const { return at(0); }
 
-    /** Claim the next slot (caller fills it, typically by swap). */
+    /** Claim the next slot (caller fills it, typically by move). */
     T &
     pushSlot()
     {
@@ -117,7 +121,7 @@ class BoundedRing
         return slot;
     }
 
-    /** Retire the front slot; its storage stays for the next lap. */
+    /** Retire the front slot; the slot stays for the next lap. */
     void
     popFront()
     {
@@ -127,7 +131,7 @@ class BoundedRing
     }
 
     /** Remove element @p i preserving the order of the rest (the
-     *  removed element's storage rotates to the spare back slot). */
+     *  removed element rotates to the spare back slot). */
     void
     removeAt(int i)
     {
@@ -148,7 +152,8 @@ class BoundedRing
 /** All dispatcher- and client-side state of one open stream. */
 struct Server::StreamState
 {
-    /** One accepted-but-undispatched frame (storage persists). */
+    /** One accepted-but-undispatched frame; holds its lent pair
+     *  until dispatch moves it into the pipeline. */
     struct Pending
     {
         int64_t ticket = -1;
@@ -198,7 +203,8 @@ Server::Server(ServerConfig config)
           (config.workers > 0 ? config.workers
                               : ThreadPool::defaultThreads()) +
           1)),
-      ring_(config.queueCapacity)
+      arena_(std::make_shared<BufferPool>()),
+      ring_(config.queueCapacity, *arena_)
 {
     fatal_if(config_.workers < 0, "Server workers must be >= 0");
     fatal_if(config_.queueCapacity < 1,
@@ -247,6 +253,7 @@ Server::openStream(StreamConfig config)
     core::StreamParams sp;
     sp.maxInFlight = state->config.maxInFlight;
     sp.sharedPool = pool_;
+    sp.buffers = arena_;
     state->pipeline = std::make_unique<core::StreamPipeline>(
         state->config.params, state->config.matcher,
         std::move(sequencer), sp);
@@ -466,19 +473,25 @@ Server::routeFrame(FrameQueue::Item &item)
             // Every queued frame is a key frame: shed the incoming
             // frame instead (queued keys are never evicted). The
             // ticket never enters pending, so gap synthesis will
-            // deliver its Shed notification in order.
+            // deliver its Shed notification in order. Its pair goes
+            // back to the arena now.
             s.shed.fetch_add(1, std::memory_order_relaxed);
-            return; // item keeps its buffers for the next dequeue
+            item.left = {};
+            item.right = {};
+            return;
         }
         s.shed.fetch_add(1, std::memory_order_relaxed);
+        // The victim rotates to the back slot, which the push below
+        // reuses at once: moving the new pair in returns the
+        // victim's pair to the arena.
         s.pending.removeAt(victim);
     }
 
     StreamState::Pending &slot = s.pending.pushSlot();
     slot.ticket = ticket;
     slot.key = key;
-    std::swap(slot.left, item.left);
-    std::swap(slot.right, item.right);
+    slot.left = std::move(item.left);
+    slot.right = std::move(item.right);
     s.queueDepth.store(s.pending.size(), std::memory_order_relaxed);
 }
 
@@ -581,7 +594,8 @@ Server::dispatchPending()
         s.sequencer->setNext(p.key);
         // Never blocks: inFlight < maxInFlight was checked above
         // and only ever decreases under us (workers completing).
-        s.pipeline->submit(p.left, p.right);
+        // The lent pair moves on to become the frame's snapshot.
+        s.pipeline->submit(std::move(p.left), std::move(p.right));
         s.pipelineTickets.pushSlot() = p.ticket;
         s.pending.popFront();
         s.queueDepth.store(s.pending.size(),
@@ -622,7 +636,9 @@ Server::finalizeStop()
             // A paused stream will never dispatch again: turn its
             // backlog (queued frames and gap sheds, interleaved in
             // ticket order) into Shed deliveries behind whatever is
-            // still in its pipeline.
+            // still in its pipeline. Their pairs stay in the retired
+            // slots until the server is destroyed: returning them
+            // here would grow the arena's shelves inside stop().
             const int64_t bound = s.pipelineTickets.empty()
                                       ? s.nextTicket
                                       : s.pipelineTickets.front();
@@ -760,6 +776,15 @@ Server::buildStats() const
     out.accepted = acceptedTotal_.load(std::memory_order_acquire);
     out.delivered = deliveredTotal_.load(std::memory_order_acquire);
 
+    const BufferPool::Stats bp = arena_->stats();
+    out.poolHits = bp.hits;
+    out.poolMisses = bp.misses;
+    out.poolResidentBytes = bp.residentBytes;
+    const uint64_t acquires = bp.hits + bp.misses;
+    out.poolHitRate = acquires ? static_cast<double>(bp.hits) /
+                                     static_cast<double>(acquires)
+                               : 0.0;
+
     int total_in_flight = 0;
     for (int i = 0; i < n; ++i) {
         const StreamState &s = *streams_[static_cast<size_t>(i)];
@@ -778,17 +803,8 @@ Server::buildStats() const
         const core::StreamPipeline::Stats ps = s.pipeline->stats();
         st.inFlight = ps.inFlight;
         total_in_flight += ps.inFlight;
-        const BufferPool::Stats bp = s.pipeline->buffers().stats();
-        out.poolHits += bp.hits;
-        out.poolMisses += bp.misses;
-        out.poolResidentBytes += bp.residentBytes;
         out.streams.push_back(std::move(st));
     }
-    const uint64_t acquires = out.poolHits + out.poolMisses;
-    out.poolHitRate =
-        acquires ? static_cast<double>(out.poolHits) /
-                       static_cast<double>(acquires)
-                 : 0.0;
     out.utilization = std::min(
         1.0, static_cast<double>(total_in_flight) /
                  static_cast<double>(std::max(1, out.workers)));

@@ -14,10 +14,11 @@
  *     --> per-stream StreamPipeline's, all sharing ONE ThreadPool
  *     --> per-stream ResultFn callbacks (exact submission order)
  *
- *  - **Submission** is wait-free for clients: one CAS plus two
- *    buffer-reusing image copies (see frame_queue.hh). submit()
- *    blocks only when the global ring is full (global backpressure);
- *    trySubmit() returns QueueFull instead and never blocks.
+ *  - **Submission** never waits on another client: one CAS plus
+ *    two image copies into a pair lent by the server's arena (see
+ *    frame_queue.hh). submit() blocks only when the global ring is
+ *    full (global backpressure); trySubmit() returns QueueFull
+ *    instead and never blocks.
  *  - **Per-stream FIFO**: every frame gets a per-stream ticket in
  *    ring order, and results — computed, shed, or failed — are
  *    delivered to the stream's callback in exact ticket order.
@@ -31,19 +32,33 @@
  *    at its ordered position — never silently lost. Streams compete
  *    for workers by priority (higher first, round-robin within).
  *  - **Stats/heartbeat**: stats() snapshots per-stream fps, queue
- *    depth, shed/rejected counts, pool hit-rate and worker
+ *    depth, shed/rejected counts, the arena's hit-rate and worker
  *    utilization at any time from any thread; subscribe() registers
  *    a callback the heartbeat thread invokes every
  *    ServerConfig::heartbeatPeriod.
  *
+ * Memory: the server owns ONE BufferPool arena (buffers()). Every
+ * frame byte is drawn from it — the pair a ring cell lends for a
+ * submitted frame, and every stage buffer of every stream's
+ * StreamPipeline (injected through StreamParams::buffers, next to
+ * the shared ThreadPool). A submitted pair is copied once, into the
+ * arena, and from then on only moved: ring cell, pending slot,
+ * pipeline snapshot. It returns to the arena when the pipeline drops
+ * the snapshot, or at once when the frame is shed. So the resident
+ * set follows the work in flight — frames queued (bounded by
+ * maxQueued per stream), frames in pipelines (maxInFlight), each
+ * stream's previous frame, the workers' stage buffers — and not the
+ * ring capacity or the stream count; an idle ring cell is a header.
+ * Results delivered to a ResultFn carry arena storage too: a client
+ * that keeps them keeps that memory.
+ *
  * Allocation contract: the serve-layer steady state — submit,
  * ring transfer, routing, shedding, shed delivery — allocates
- * nothing once warm; frame payloads circulate by std::swap between
- * the ring cells, the per-stream pending slots, and the dispatcher
- * scratch (tests/serve_test.cpp pins this with AllocTracker).
- * StreamPipeline's internal stage dispatch (one input snapshot and
- * a few control blocks per frame) is outside the contract; its
- * pixel buffers already recycle through each pipeline's BufferPool.
+ * nothing once the arena holds pairs of the frame shape
+ * (tests/serve_test.cpp pins this with AllocTracker).
+ * StreamPipeline's internal stage dispatch (a few control blocks
+ * per frame) is outside the contract; its pixel buffers recycle
+ * through the same arena.
  *
  * Threading: openStream()/submit()/trySubmit() are safe from any
  * thread. stop()/drain() are driver-thread operations. The
@@ -200,10 +215,10 @@ struct ServerStats
     int workers = 0;      //!< stage-executor threads
     int64_t accepted = 0; //!< frames accepted into the ring, total
     int64_t delivered = 0; //!< results delivered (Ok+Shed+Failed)
-    uint64_t poolHits = 0;   //!< summed over stream BufferPools
+    uint64_t poolHits = 0;   //!< of the server's one arena
     uint64_t poolMisses = 0;
     double poolHitRate = 0.0;  //!< hits / (hits + misses)
-    uint64_t poolResidentBytes = 0;
+    uint64_t poolResidentBytes = 0; //!< idle bytes in the arena
     double utilization = 0.0; //!< in-flight stages / workers, <= 1
 };
 
@@ -286,6 +301,10 @@ class Server
      *  work; see ThreadPool's FIFO contract before blocking in it). */
     const std::shared_ptr<ThreadPool> &pool() const { return pool_; }
 
+    /** The one arena every frame payload and stage buffer is drawn
+     *  from (see the file comment). */
+    BufferPool &buffers() const { return *arena_; }
+
     int numStreams() const
     {
         return numStreams_.load(std::memory_order_acquire);
@@ -311,7 +330,8 @@ class Server
 
     ServerConfig config_;
     std::shared_ptr<ThreadPool> pool_;
-    FrameQueue ring_;
+    std::shared_ptr<BufferPool> arena_; //!< shared with every pipeline
+    FrameQueue ring_;                   //!< borrows *arena_
     FrameQueue::Item scratch_; //!< dispatcher-only dequeue buffer
 
     // Stream table: preallocated to maxStreams (never reallocates),

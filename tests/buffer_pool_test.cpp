@@ -15,13 +15,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/buffer_pool.hh"
+#include "common/thread_pool.hh"
 #include "core/ism.hh"
 #include "core/sequencer.hh"
 #include "core/stream_pipeline.hh"
@@ -57,6 +60,31 @@ TEST(BufferPool, MissThenHitRecyclesTheSameStorage)
     EXPECT_EQ(1u, s.hits);
     EXPECT_EQ(1u, s.misses);
     EXPECT_EQ(0u, s.residentBuffers);
+}
+
+TEST(BufferPool, OutstandingBytesFollowCheckouts)
+{
+    // Idle plus outstanding is everything the arena holds: a buffer
+    // moves from one figure to the other on acquire and release,
+    // whether it was a miss or a hit, pooled image or raw handle.
+    BufferPool pool;
+    {
+        auto h = pool.acquire<float>(256);
+        image::Image img = image::acquireImage(pool, 8, 4);
+        auto s = pool.stats();
+        EXPECT_EQ((256u + 32u) * sizeof(float), s.outstandingBytes);
+        EXPECT_EQ(0u, s.residentBytes);
+    }
+    auto s = pool.stats();
+    EXPECT_EQ(0u, s.outstandingBytes);
+    EXPECT_EQ((256u + 32u) * sizeof(float), s.residentBytes);
+
+    auto h = pool.acquire<float>(256); // hit
+    s = pool.stats();
+    EXPECT_EQ(256u * sizeof(float), s.outstandingBytes);
+    EXPECT_EQ(32u * sizeof(float), s.residentBytes);
+    h.release();
+    EXPECT_EQ(0u, pool.stats().outstandingBytes);
 }
 
 TEST(BufferPool, ShapeMismatchReturnsFreshBuffer)
@@ -355,13 +383,13 @@ TEST(BufferPool, StreamResolutionFlipsStayBounded)
     params.propagationWindow = 3;
     params.maxDisparity = 16;
     params.blockRadius = 1;
+    const auto matcher =
+        stereo::makeMatcher("bm", "maxDisparity=16,blockRadius=1");
     core::StreamParams sp;
     sp.maxInFlight = 4;
     sp.workers = 4;
-    core::StreamPipeline stream(
-        params,
-        stereo::makeMatcher("bm", "maxDisparity=16,blockRadius=1"),
-        core::makeStaticSequencer(3), sp);
+    core::StreamPipeline stream(params, matcher,
+                                core::makeStaticSequencer(3), sp);
 
     const int res[3][2] = {{48, 32}, {64, 40}, {36, 32}};
     std::vector<data::StereoSequence> seqs;
@@ -374,35 +402,45 @@ TEST(BufferPool, StreamResolutionFlipsStayBounded)
         seqs.push_back(data::generateSequence(cfg, 4, 11));
     }
 
-    // Warm cycle to establish the ceiling; drain between rounds so
-    // the measurement is quiescent.
-    uint64_t warm_peak = 0;
+    // Ceilings from quantities no scheduling can move: each
+    // resolution's serial working set (an IsmPipeline's arena after
+    // the same frames, on a pool as wide as the stream's, so
+    // per-chunk scratch matches), times the frames the stream may
+    // have in flight. With workers == maxInFlight, at most that many
+    // stages hold buffers at once, each no more than one serial
+    // frame, and a stage's inputs are back in the arena by the time
+    // its result is ready. The flip trim leaves only the current
+    // resolution's set; a stream that skipped it would also hold the
+    // other resolutions' sets, which lands past the ceiling.
+    uint64_t ceiling[3];
     for (int r = 0; r < 3; ++r) {
+        core::IsmPipeline serial(
+            params, matcher, core::makeStaticSequencer(3),
+            std::make_shared<ThreadPool>(sp.workers + 1));
         for (const auto &f : seqs[size_t(r)].frames)
-            stream.submit(f.left, f.right);
-        (void)stream.drain();
-        warm_peak = std::max(warm_peak,
-                             stream.buffers().stats().residentBytes);
+            (void)serial.processFrame(f.left, f.right);
+        const uint64_t working_set =
+            serial.buffers().stats().residentBytes;
+        ASSERT_GT(working_set, 0u);
+        ceiling[r] = uint64_t(sp.maxInFlight) * working_set;
     }
-    // In-flight old-resolution frames may re-shelve after the flip
-    // trim, so the streaming bound is looser than the serial one —
-    // but an accumulation bug still blows far past it.
-    const uint64_t ceiling = 2 * warm_peak + (64u << 10);
 
-    uint64_t max_resident = 0;
+    uint64_t max_resident[3] = {0, 0, 0};
     for (int cycle = 0; cycle < 20; ++cycle) {
         for (int r = 0; r < 3; ++r) {
             for (const auto &f : seqs[size_t(r)].frames)
                 stream.submit(f.left, f.right);
             const auto results = stream.drain();
             ASSERT_EQ(4u, results.size());
-            max_resident =
-                std::max(max_resident,
+            max_resident[r] =
+                std::max(max_resident[r],
                          stream.buffers().stats().residentBytes);
         }
     }
-    EXPECT_LE(max_resident, ceiling)
-        << "resident bytes grew across streamed resolution flips";
+    for (int r = 0; r < 3; ++r)
+        EXPECT_LE(max_resident[r], ceiling[r])
+            << "resident bytes at " << res[r][0] << "x" << res[r][1]
+            << " grew across streamed resolution flips";
     stream.reset();
     EXPECT_EQ(0u, stream.buffers().stats().residentBytes)
         << "reset() must empty the arena";

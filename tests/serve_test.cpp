@@ -14,17 +14,24 @@
  *    same frames (the serving layer adds scheduling, not arithmetic);
  *  - the serve hot path — submit, ring transfer, routing, shedding,
  *    shed delivery — is allocation-free at steady state
- *    (AllocTracker-guarded, including the FrameQueue in isolation).
+ *    (AllocTracker-guarded, including the FrameQueue in isolation);
+ *  - the server's one arena holds what can be in flight, not what
+ *    the ring could hold, including across mid-stream resolution
+ *    flips that trim it under another stream's feet.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
+#include "common/buffer_pool.hh"
+#include "common/thread_pool.hh"
 #include "core/ism.hh"
 #include "core/sequencer.hh"
 #include "data/scene.hh"
@@ -99,6 +106,39 @@ streamConfig(ResultLog &log, int propagation_window = 3,
     cfg.maxInFlight = max_in_flight;
     cfg.onResult = [&log](ServeResult &&r) { log(std::move(r)); };
     return cfg;
+}
+
+/**
+ * Bytes a serial IsmPipeline's arena holds after running @p frames
+ * on a pool of @p threads: one frame's stage working set at that
+ * shape, fixed by the code path alone (no frames overlap, so no
+ * scheduling enters it). Results are dropped, so their maps count.
+ */
+uint64_t
+serialWorkingSet(const std::vector<FramePair> &frames, int window,
+                 int threads)
+{
+    core::IsmPipeline serial(testParams(window), testMatcher(),
+                             core::makeStaticSequencer(window),
+                             std::make_shared<ThreadPool>(threads));
+    for (const FramePair &f : frames)
+        (void)serial.processFrame(f.left, f.right);
+    return serial.buffers().stats().residentBytes;
+}
+
+/** Bytes of one lent left/right payload pair at @p frame's shape. */
+uint64_t
+pairBytes(const FramePair &frame)
+{
+    return 2 * sizeof(float) * static_cast<uint64_t>(frame.left.size());
+}
+
+/** Everything the arena holds: idle plus handed out. */
+uint64_t
+arenaBytes(const Server &server)
+{
+    const BufferPool::Stats st = server.buffers().stats();
+    return st.residentBytes + st.outstandingBytes;
 }
 
 TEST(Serve, SubmitStatuses)
@@ -421,14 +461,183 @@ TEST(Serve, HeartbeatAndStats)
     EXPECT_GT(stats.workers, 0);
     EXPECT_GE(stats.poolHitRate, 0.0);
     EXPECT_LE(stats.poolHitRate, 1.0);
-    // The ISM stages recycle pixel buffers through each stream's
-    // pool; after 12 frames the arena must have seen traffic.
+    // Payloads and ISM stage buffers recycle through the server's
+    // one arena; after 12 frames it must have seen traffic.
     EXPECT_GT(stats.poolHits + stats.poolMisses, 0u);
     server.stop();
 
     std::lock_guard<std::mutex> lock(mutex);
     ASSERT_FALSE(beats.empty());
     EXPECT_EQ(beats.back().streams.size(), 1u);
+}
+
+TEST(Serve, ResidentMemoryFollowsWorkInFlight)
+{
+    // A 256-cell ring lapped 2.5 times by two flooding streams: the
+    // arena may hold only what can be in flight — per stream its
+    // pending frames (maxQueued), its pipeline's frames (maxInFlight)
+    // and the previous-frame snapshot pair, one submitted pair per
+    // stream not yet routed, and the stage buffers of every frame in
+    // a pipeline. Ring capacity appears nowhere in the bound: a ring
+    // whose cells kept their payloads would hold 256 pairs.
+    constexpr int kStreams = 2;
+    constexpr int kFrames = 320; // per stream
+    constexpr int kWindow = 3;
+    constexpr int kMaxQueued = 4;
+    constexpr int kMaxInFlight = 2;
+    constexpr int kWorkers = 2;
+
+    ServerConfig sc;
+    sc.manualDispatch = true;
+    sc.workers = kWorkers;
+    sc.queueCapacity = 256;
+    Server server(sc);
+    int delivered = 0;
+    std::vector<StreamId> ids;
+    for (int s = 0; s < kStreams; ++s) {
+        StreamConfig cfg;
+        cfg.params = testParams(kWindow);
+        cfg.matcher = testMatcher();
+        cfg.maxQueued = kMaxQueued;
+        cfg.maxInFlight = kMaxInFlight;
+        // Dropping the result hands its map back to the arena.
+        cfg.onResult = [&delivered](ServeResult &&) { ++delivered; };
+        ids.push_back(server.openStream(std::move(cfg)));
+    }
+    ASSERT_EQ(server.stats().ringCapacity, 256);
+
+    const auto frames = makeFrames(4, 101);
+    uint64_t peak = 0;
+    for (int f = 0; f < kFrames; ++f) {
+        const FramePair &p =
+            frames[static_cast<size_t>(f) % frames.size()];
+        for (const StreamId id : ids)
+            ASSERT_EQ(server.submit(id, p.left, p.right),
+                      SubmitStatus::Accepted);
+        // Flood, shedding, then let the pipelines catch up, so both
+        // full queues and busy pipelines are sampled.
+        if (f % 8 == 7)
+            server.drain();
+        else
+            server.pump();
+        peak = std::max(peak, arenaBytes(server));
+    }
+    server.drain();
+    peak = std::max(peak, arenaBytes(server));
+    server.stop();
+    EXPECT_EQ(delivered, kStreams * kFrames);
+
+    const uint64_t pairs =
+        kStreams * (kMaxQueued + kMaxInFlight + 1) + kStreams;
+    const uint64_t stage_frames = kStreams * kMaxInFlight;
+    const uint64_t bound =
+        pairs * pairBytes(frames[0]) +
+        stage_frames * serialWorkingSet(frames, kWindow, kWorkers + 1);
+    EXPECT_LE(peak, bound)
+        << "arena bytes grew with the ring, not with work in flight";
+}
+
+TEST(Serve, MixedResolutionsShareOneArena)
+{
+    // Stream 0 stays at 64x48 while stream 1 flips between 48x32 and
+    // 56x40 every block of frames, for 20 flip cycles. Each flip
+    // trims the shared arena while stream 0's stages may be running
+    // on it; the trim drops idle buffers only, so both streams stay
+    // bit-identical to their own serial IsmPipeline, and the idle
+    // bytes stay within what the two streams can have in flight.
+    constexpr int kCycles = 20;
+    constexpr int kBlock = 3; // frames per resolution block
+    constexpr int kWindow = 3;
+    constexpr int kMaxInFlight = 2;
+    constexpr int kWorkers = 2;
+
+    const std::vector<FramePair> steady = makeFrames(2 * kBlock, 111);
+    const std::vector<std::vector<FramePair>> flipping = {
+        makeFrames(kBlock, 112, 48, 32), makeFrames(kBlock, 113, 56, 40)};
+
+    struct Delivered
+    {
+        int64_t ticket = -1;
+        ResultStatus status = ResultStatus::Failed;
+        bool keyFrame = false;
+        image::Image disparity; //!< plain copy: the arena's map is freed
+    };
+    std::vector<std::vector<Delivered>> logs(2);
+
+    ServerConfig sc;
+    sc.workers = kWorkers;
+    Server server(sc);
+    std::vector<StreamId> ids;
+    for (int s = 0; s < 2; ++s) {
+        StreamConfig cfg;
+        cfg.params = testParams(kWindow);
+        cfg.matcher = testMatcher();
+        cfg.maxQueued = kBlock; // a drained block never sheds
+        cfg.maxInFlight = kMaxInFlight;
+        auto &log = logs[static_cast<size_t>(s)];
+        cfg.onResult = [&log](ServeResult &&r) {
+            log.push_back({r.ticket, r.status, r.keyFrame,
+                           image::Image(r.disparity)});
+        };
+        ids.push_back(server.openStream(std::move(cfg)));
+    }
+
+    std::vector<std::vector<const FramePair *>> sent(2);
+    uint64_t max_idle = 0;
+    for (int b = 0; b < 2 * kCycles; ++b) {
+        for (int f = 0; f < kBlock; ++f) {
+            sent[0].push_back(
+                &steady[static_cast<size_t>((b * kBlock + f) %
+                                            (2 * kBlock))]);
+            sent[1].push_back(
+                &flipping[static_cast<size_t>(b % 2)]
+                         [static_cast<size_t>(f)]);
+            for (size_t s = 0; s < 2; ++s)
+                ASSERT_EQ(server.submit(ids[s], sent[s].back()->left,
+                                        sent[s].back()->right),
+                          SubmitStatus::Accepted);
+        }
+        server.drain();
+        max_idle =
+            std::max(max_idle, server.buffers().stats().residentBytes);
+    }
+    server.stop();
+
+    for (size_t s = 0; s < 2; ++s) {
+        core::IsmPipeline serial(testParams(kWindow), testMatcher(),
+                                 core::makeStaticSequencer(kWindow));
+        ASSERT_EQ(logs[s].size(), sent[s].size()) << "stream " << s;
+        for (size_t f = 0; f < sent[s].size(); ++f) {
+            const core::IsmFrameResult expect = serial.processFrame(
+                sent[s][f]->left, sent[s][f]->right);
+            const Delivered &got = logs[s][f];
+            EXPECT_EQ(got.ticket, static_cast<int64_t>(f));
+            ASSERT_EQ(got.status, ResultStatus::Ok)
+                << "stream " << s << " frame " << f;
+            EXPECT_EQ(got.keyFrame, expect.keyFrame)
+                << "stream " << s << " frame " << f;
+            ASSERT_EQ(got.disparity.width(), expect.disparity.width());
+            ASSERT_EQ(got.disparity.height(),
+                      expect.disparity.height());
+            EXPECT_EQ(got.disparity.maxAbsDiff(expect.disparity), 0.0)
+                << "stream " << s << " frame " << f;
+        }
+    }
+
+    // Per stream: its largest shape's payload pairs (pending,
+    // in pipeline, previous snapshot, one unrouted) and the stage
+    // working sets of its frames in flight.
+    const uint64_t pairs = kBlock + kMaxInFlight + 2;
+    const uint64_t flip_set = std::max(
+        serialWorkingSet(flipping[0], kWindow, kWorkers + 1),
+        serialWorkingSet(flipping[1], kWindow, kWorkers + 1));
+    const uint64_t bound =
+        pairs * (pairBytes(steady[0]) + pairBytes(flipping[1][0])) +
+        kMaxInFlight *
+            (serialWorkingSet(steady, kWindow, kWorkers + 1) +
+             flip_set);
+    EXPECT_LE(max_idle, bound)
+        << "idle arena bytes grew across resolution flips";
 }
 
 TEST(Serve, HotPathAllocationFreeAtSteadyState)
@@ -492,7 +701,8 @@ TEST(Serve, HotPathAllocationFreeAtSteadyState)
 TEST(Serve, FrameQueueAllocationFreeAfterWarmup)
 {
     const auto frames = makeFrames(2, 99);
-    FrameQueue queue(4);
+    BufferPool arena;
+    FrameQueue queue(4, arena);
     FrameQueue::Item item;
 
     // Two laps warm every cell (and the swap partner).
